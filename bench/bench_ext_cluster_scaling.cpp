@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "src/simulator/cluster_simulator.h"
-#include "src/workload/conversation.h"
+#include "src/workload/session_trace.h"
 
 using namespace sarathi;
 using sarathi::bench::Header;
@@ -68,15 +68,16 @@ int main() {
 
   // (b) Routing policy under skewed multi-turn conversations.
   std::cout << "\n-- (b) routing policy on multi-turn conversations (2 replicas) --\n";
-  ConversationOptions conversation;
-  conversation.num_conversations = 640;
+  MultiTurnChatOptions conversation;
+  conversation.num_sessions = 640;
+  conversation.system_prompt_tokens = 0;
   // Offered request rate ~ start_qps * mean rounds (4): target ~80% of the
   // 2-replica capacity so queues form and routing decisions matter.
   conversation.start_qps = 1.9;
   conversation.mean_think_time_s = 15.0;
   conversation.continue_probability = 0.75;
   conversation.seed = 14;
-  Trace trace = GenerateConversationTrace(conversation);
+  Trace trace = GenerateMultiTurnChatTrace(conversation);
   std::cout << "Trace: " << trace.Summary() << "\n";
 
   Table routing({"routing", "median TTFT (s)", "P99 TTFT (s)", "P99 TBT (s)"});

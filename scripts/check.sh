@@ -30,6 +30,12 @@ echo "== cluster-scale smoke: sharded parallel engine + autoscaled megafleet =="
 cmake --build build -j --target bench_ext_cluster_scale
 build/bench/bench_ext_cluster_scale --quick --selfcheck --out=build/BENCH_cluster_scale.json
 
+echo
+echo "== perfbench smoke: standalone Release build with -Werror, replay equivalence =="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j --target perfbench perfbench_test
+build-perfbench/perfbench_test
+
 if [ "$SANITIZE" = "1" ]; then
   echo
   echo "== tier-1 under ASan + UBSan =="

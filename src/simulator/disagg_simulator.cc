@@ -1,248 +1,111 @@
 #include "src/simulator/disagg_simulator.h"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/memory/block_manager.h"
-#include "src/scheduler/request_state.h"
 
 namespace sarathi {
 namespace {
 
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
+constexpr int64_t kMaxPrefillBatch = 8;
+constexpr int64_t kMaxDecodeBatch = 128;
+constexpr double kMigrationLatencyS = 10e-6;
 
-// A request's position in the disaggregated flow.
-struct Flow {
-  RequestState* request = nullptr;
-  size_t slot = 0;          // Metrics index.
-  double ready_s = 0.0;     // Migration completion (valid once migrating).
-};
+// One pool's replica; KV paging keeps the defaults (16-token blocks, 1% watermark).
+SimulatorOptions PoolOptions(const DisaggOptions& options, const ParallelConfig& parallel,
+                             int64_t max_batch_size) {
+  CHECK_EQ(parallel.pipeline_parallel, 1) << "disaggregated pools are not pipelined";
+  SimulatorOptions pool;
+  pool.model = options.model;
+  pool.cluster = options.cluster;
+  pool.parallel = parallel;
+  pool.scheduler.policy = SchedulerPolicy::kVllm;
+  pool.scheduler.max_batch_size = max_batch_size;
+  pool.scheduler.max_prefill_tokens = options.max_prefill_tokens;
+  return pool;
+}
+
+// A pool's copy of a request: shape and arrival only, since this deployment
+// models no deadlines, QoS lanes or parallel sampling.
+Request PoolRequest(const Request& request, double arrival_s, int64_t output_tokens) {
+  Request copy;
+  copy.id = request.id;
+  copy.arrival_time_s = arrival_s;
+  copy.prompt_tokens = request.prompt_tokens;
+  copy.output_tokens = output_tokens;
+  return copy;
+}
 
 }  // namespace
 
-DisaggSimulator::DisaggSimulator(const DisaggOptions& options) : options_(options) {
-  prefill_model_ = std::make_unique<IterationCostModel>(options_.model, options_.cluster,
-                                                        options_.prefill_parallel);
-  decode_model_ = std::make_unique<IterationCostModel>(options_.model, options_.cluster,
-                                                       options_.decode_parallel);
-}
+DisaggSimulator::DisaggSimulator(const DisaggOptions& options)
+    : options_(options),
+      prefill_(PoolOptions(options, options.prefill_parallel, kMaxPrefillBatch)),
+      decode_(PoolOptions(options, options.decode_parallel, kMaxDecodeBatch)) {}
 
 SimResult DisaggSimulator::Run(const Trace& trace) {
-  SimResult result;
-  result.scheduler_name = "disaggregated";
-  result.stage_busy_s.assign(2, 0.0);
-  result.peak_flops = prefill_model_->PeakFlops() + decode_model_->PeakFlops();
-  result.peak_bandwidth = prefill_model_->PeakBandwidth() + decode_model_->PeakBandwidth();
+  // Prefill pool: every request stops at its first token.
+  Trace prefill_trace;
+  for (const Request& request : trace.requests) {
+    prefill_trace.requests.push_back(PoolRequest(request, request.arrival_time_s, 1));
+  }
+  SimResult result = prefill_.Run(prefill_trace);
 
-  std::vector<std::unique_ptr<RequestState>> states;
-  states.reserve(trace.size());
-  result.requests.resize(trace.size());
+  // Migration link: hand-offs cross it one at a time in first-token order
+  // (ties keep batch order, which is trace order under FIFO admission).
+  std::vector<size_t> handoffs;
   for (size_t i = 0; i < trace.size(); ++i) {
-    states.push_back(std::make_unique<RequestState>(trace.requests[i]));
-    result.requests[i].id = trace.requests[i].id;
-    result.requests[i].arrival_s = trace.requests[i].arrival_time_s;
+    if (trace.requests[i].output_tokens > 1) {
+      handoffs.push_back(i);
+    }
   }
-
-  PagedBlockManager::Options block_options;
-  block_options.num_blocks = decode_model_->MaxKvTokens() / options_.block_size;
-  block_options.block_size = options_.block_size;
-  block_options.watermark = options_.watermark;
-  block_options.sliding_window = options_.model.sliding_window;
-  PagedBlockManager decode_blocks(block_options);
-
-  size_t next_arrival = 0;
-  std::deque<Flow> prefill_queue;   // Arrived, awaiting prefill.
-  std::vector<Flow> migrating;      // KV in flight to the decode pool.
-  std::deque<Flow> decode_wait;     // Migrated, awaiting decode-pool memory.
-  std::vector<Flow> decoding;       // Admitted to the decode pool.
-
-  // Engines hold at most one batch each.
-  std::vector<Flow> prefill_inflight;
-  double prefill_exit = kInfinity;
-  std::vector<Flow> decode_inflight;
-  double decode_exit = kInfinity;
-
+  std::stable_sort(handoffs.begin(), handoffs.end(), [&result](size_t a, size_t b) {
+    return result.requests[a].token_times_s.front() < result.requests[b].token_times_s.front();
+  });
+  Trace decode_trace;
   double link_free = 0.0;
-  double now = 0.0;
-  double first_start = -1.0;
-  double last_exit = 0.0;
-  size_t completed = 0;
+  for (size_t i : handoffs) {
+    const Request& request = trace.requests[i];
+    double bytes = static_cast<double>(request.prompt_tokens) *
+                   static_cast<double>(options_.model.KvBytesPerToken());
+    double start = std::max(link_free, result.requests[i].token_times_s.front());
+    link_free = start + bytes / options_.migration_bandwidth + kMigrationLatencyS;
+    Request migrated = PoolRequest(request, link_free, request.output_tokens);
+    migrated.restored_generated = 1;
+    decode_trace.requests.push_back(migrated);
+  }
+  SimResult decode = decode_.Run(decode_trace);
 
-  auto admit_decode_wait = [&]() {
-    // Conservative DistServe-style admission: reserve the whole lifetime so
-    // the decode pool never needs preemption.
-    while (!decode_wait.empty()) {
-      Flow& flow = decode_wait.front();
-      int64_t context = flow.request->context_len();
-      int64_t total = context + flow.request->output_tokens();
-      if (!decode_blocks.CanAdmit(total, total)) {
-        break;
-      }
-      decode_blocks.Admit(flow.request->id(), total, total);
-      decoding.push_back(flow);
-      decode_wait.pop_front();
-    }
-  };
-
-  auto deliver = [&](double upto) {
-    while (next_arrival < states.size() &&
-           trace.requests[next_arrival].arrival_time_s <= upto) {
-      prefill_queue.push_back(Flow{states[next_arrival].get(), next_arrival, 0.0});
-      ++next_arrival;
-    }
-    for (auto it = migrating.begin(); it != migrating.end();) {
-      if (it->ready_s <= upto) {
-        decode_wait.push_back(*it);
-        it = migrating.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    admit_decode_wait();
-  };
-
-  while (completed < states.size()) {
-    deliver(now);
-
-    bool progressed = false;
-
-    // Prefill engine: whole-prompt batches at line rate.
-    if (prefill_exit == kInfinity && !prefill_queue.empty()) {
-      BatchWork work;
-      int64_t tokens = 0;
-      while (!prefill_queue.empty() &&
-             static_cast<int64_t>(prefill_inflight.size()) < options_.max_prefill_batch) {
-        int64_t prompt = prefill_queue.front().request->prefill_target();
-        if (!prefill_inflight.empty() && tokens + prompt > options_.max_prefill_tokens) {
-          break;
-        }
-        work.sequences.push_back(SequenceWork::PrefillChunk(0, prompt));
-        tokens += prompt;
-        prefill_inflight.push_back(prefill_queue.front());
-        prefill_queue.pop_front();
-      }
-      double duration = prefill_model_->IterationCost(work).Total();
-      double batch_flops = 0.0;
-      double batch_bytes = 0.0;
-      prefill_model_->BatchFlopsAndBytes(work, &batch_flops, &batch_bytes);
-      result.total_flops += batch_flops;
-      result.total_bytes += batch_bytes;
-      result.stage_busy_s[0] += duration;
-      prefill_exit = now + duration;
-      for (const Flow& flow : prefill_inflight) {
-        RequestMetrics& metrics = result.requests[flow.slot];
-        if (metrics.first_scheduled_s < 0.0) {
-          metrics.first_scheduled_s = now;
-        }
-      }
-      if (first_start < 0.0) {
-        first_start = now;
-      }
-      ++result.num_iterations;
-      result.total_prefill_tokens += tokens;
-      progressed = true;
-    }
-
-    // Decode engine: pure decode batches over everything admitted.
-    if (decode_exit == kInfinity && !decoding.empty()) {
-      BatchWork work;
-      for (const Flow& flow : decoding) {
-        if (static_cast<int64_t>(decode_inflight.size()) >= options_.max_batch_size) {
-          break;
-        }
-        work.sequences.push_back(SequenceWork::Decode(flow.request->context_len() - 1));
-        decode_inflight.push_back(flow);
-      }
-      decoding.erase(decoding.begin(),
-                     decoding.begin() + static_cast<long>(decode_inflight.size()));
-      double duration = decode_model_->IterationCost(work).Total();
-      double batch_flops = 0.0;
-      double batch_bytes = 0.0;
-      decode_model_->BatchFlopsAndBytes(work, &batch_flops, &batch_bytes);
-      result.total_flops += batch_flops;
-      result.total_bytes += batch_bytes;
-      result.stage_busy_s[1] += duration;
-      decode_exit = now + duration;
-      if (first_start < 0.0) {
-        first_start = now;
-      }
-      ++result.num_iterations;
-      progressed = true;
-    }
-
-    if (progressed) {
-      continue;
-    }
-
-    // Advance to the next event.
-    double next_event = kInfinity;
-    if (next_arrival < states.size()) {
-      next_event = std::min(next_event, trace.requests[next_arrival].arrival_time_s);
-    }
-    next_event = std::min(next_event, prefill_exit);
-    next_event = std::min(next_event, decode_exit);
-    for (const Flow& flow : migrating) {
-      next_event = std::min(next_event, flow.ready_s);
-    }
-    CHECK_NE(next_event, kInfinity)
-        << "disaggregated simulator deadlocked with " << states.size() - completed
-        << " requests outstanding";
-    now = std::max(now, next_event);
-
-    if (prefill_exit <= now) {
-      // Prefill batch done: emit first tokens and start KV migrations.
-      for (const Flow& flow : prefill_inflight) {
-        flow.request->AdvancePrefill(flow.request->remaining_prefill());
-        RequestMetrics& metrics = result.requests[flow.slot];
-        metrics.token_times_s.push_back(prefill_exit);
-        ++result.total_output_tokens;
-        last_exit = std::max(last_exit, prefill_exit);
-        if (flow.request->finished()) {
-          metrics.completion_s = prefill_exit;
-          ++completed;
-          continue;
-        }
-        double bytes = static_cast<double>(flow.request->prefill_target()) *
-                       static_cast<double>(options_.model.KvBytesPerToken());
-        double start = std::max(link_free, prefill_exit);
-        double ready = start + bytes / options_.migration_bandwidth +
-                       options_.migration_latency_s;
-        link_free = ready;
-        Flow moved = flow;
-        moved.ready_s = ready;
-        migrating.push_back(moved);
-      }
-      prefill_inflight.clear();
-      prefill_exit = kInfinity;
-    }
-
-    if (decode_exit <= now) {
-      for (const Flow& flow : decode_inflight) {
-        flow.request->AdvanceDecode();
-        RequestMetrics& metrics = result.requests[flow.slot];
-        metrics.token_times_s.push_back(decode_exit);
-        ++result.total_output_tokens;
-        last_exit = std::max(last_exit, decode_exit);
-        if (flow.request->finished()) {
-          metrics.completion_s = decode_exit;
-          decode_blocks.Release(flow.request->id());
-          ++completed;
-        } else {
-          decoding.push_back(flow);
-        }
-      }
-      decode_inflight.clear();
-      decode_exit = kInfinity;
-      admit_decode_wait();
-    }
+  // Join: each handed-off request continues its prefill-pool timeline.
+  for (size_t k = 0; k < handoffs.size(); ++k) {
+    RequestMetrics& metrics = result.requests[handoffs[k]];
+    const RequestMetrics& tail = decode.requests[k];
+    metrics.token_times_s.insert(metrics.token_times_s.end(), tail.token_times_s.begin(),
+                                 tail.token_times_s.end());
+    metrics.completion_s = tail.completion_s;
+    metrics.preemptions += tail.preemptions;
+    metrics.wasted_tokens += tail.wasted_tokens;
   }
 
-  result.makespan_s = last_exit;
-  result.active_window_s = first_start < 0.0 ? 0.0 : last_exit - first_start;
+  double first_start = result.makespan_s;
+  for (const RequestMetrics& metrics : result.requests) {
+    first_start = std::min(first_start, metrics.first_scheduled_s);
+  }
+  result.scheduler_name = "disaggregated";
+  result.stage_busy_s.push_back(decode.stage_busy_s[0]);
+  result.num_iterations += decode.num_iterations;
+  result.num_preemptions += decode.num_preemptions;
+  result.total_output_tokens += decode.total_output_tokens;
+  result.total_prefill_tokens += decode.total_prefill_tokens;
+  result.peak_kv_blocks += decode.peak_kv_blocks;
+  result.total_kv_blocks += decode.total_kv_blocks;
+  result.total_flops += decode.total_flops;
+  result.total_bytes += decode.total_bytes;
+  result.peak_flops += decode.peak_flops;
+  result.peak_bandwidth += decode.peak_bandwidth;
+  result.makespan_s = std::max(result.makespan_s, decode.makespan_s);
+  result.active_window_s = trace.size() == 0 ? 0.0 : result.makespan_s - first_start;
   return result;
 }
 

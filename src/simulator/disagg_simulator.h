@@ -1,25 +1,25 @@
 // Disaggregated prefill/decode serving (Splitwise, DistServe, TetriInfer —
 // the paper's §6 "third category").
 //
-// Prompts are processed at full speed on a dedicated prefill replica; the
-// request's KV cache then migrates over an interconnect to a decode replica
-// that runs pure decode batches. Interference between phases disappears by
-// construction — the questions the paper raises are the costs: KV migration
-// needs bandwidth, prefill-replica memory sits underused, and the GPU split
-// halves each pool's capacity for the phase it doesn't serve. This simulator
-// makes the §6 comparison the paper left as future work quantitative.
+// Prompts run at full speed on a prefill replica; the KV cache then migrates
+// to a decode replica that runs pure decode batches. Phase interference
+// disappears by construction; the costs the paper raises are KV migration
+// bandwidth, underused prefill-replica memory, and each GPU pinned to one
+// phase. This makes the §6 comparison left as future work quantitative.
 //
-// Model simplifications (documented in DESIGN.md): one replica per pool
-// (each possibly tensor-parallel; no pipeline parallelism inside a pool) and
-// a single migration link that serializes transfers.
+// Each pool is a vLLM ReplicaSimulator, so there is no second event loop:
+// the prefill pool serves every request up to its first token, a serialized
+// link carries the KV hand-offs in first-token order, and the decode pool
+// adopts each one through Scheduler::AdoptMigrated (docs/simulator.md).
+// One replica per pool (tensor-parallel at most) and one migration link.
 
 #ifndef SRC_SIMULATOR_DISAGG_SIMULATOR_H_
 #define SRC_SIMULATOR_DISAGG_SIMULATOR_H_
 
-#include <memory>
+#include <cstdint>
 
-#include "src/perfmodel/iteration_cost.h"
 #include "src/simulator/metrics.h"
+#include "src/simulator/replica_simulator.h"
 #include "src/workload/trace.h"
 
 namespace sarathi {
@@ -31,21 +31,14 @@ struct DisaggOptions {
   ParallelConfig prefill_parallel;
   ParallelConfig decode_parallel;
 
-  // Prefill batching: whole prompts, coalesced up to this many tokens.
+  // Prefill batching: whole prompts (at most 8), coalesced up to this many
+  // tokens. Decode batches hold at most 128 sequences.
   int64_t max_prefill_tokens = 16384;
-  int64_t max_prefill_batch = 8;
-  // Decode batching cap.
-  int64_t max_batch_size = 128;
 
-  // KV migration link (per-direction bytes/s + latency). Splitwise-class
-  // deployments use InfiniBand (~25 GB/s); intra-node NVLink designs are
-  // faster.
+  // KV migration link bandwidth (per-direction bytes/s; each transfer also
+  // pays 10 us of latency). Splitwise-class deployments use InfiniBand
+  // (~25 GB/s); intra-node NVLink designs are faster.
   double migration_bandwidth = 25e9;
-  double migration_latency_s = 10e-6;
-
-  // Decode-pool paging.
-  int64_t block_size = 16;
-  double watermark = 0.01;
 };
 
 class DisaggSimulator {
@@ -54,16 +47,14 @@ class DisaggSimulator {
 
   // Serves the trace to completion. In the returned SimResult,
   // stage_busy_s[0] is the prefill replica's busy time and stage_busy_s[1]
-  // the decode replica's, so BubbleFraction() reads as pool idleness.
+  // the decode replica's, so BubbleFraction() reads as pool idleness; the
+  // other totals are summed over both pools.
   SimResult Run(const Trace& trace);
-
-  const IterationCostModel& prefill_model() const { return *prefill_model_; }
-  const IterationCostModel& decode_model() const { return *decode_model_; }
 
  private:
   DisaggOptions options_;
-  std::unique_ptr<IterationCostModel> prefill_model_;
-  std::unique_ptr<IterationCostModel> decode_model_;
+  ReplicaSimulator prefill_;
+  ReplicaSimulator decode_;
 };
 
 }  // namespace sarathi

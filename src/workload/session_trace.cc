@@ -73,8 +73,7 @@ Trace GenerateMultiTurnChatTrace(const MultiTurnChatOptions& options) {
         break;
       }
       // Next round arrives after the user reads the reply and types: think
-      // time plus a crude per-token reading/serving allowance (matching
-      // GenerateConversationTrace).
+      // time plus a crude per-token reading/serving allowance.
       double allowance = 0.02 * static_cast<double>(reply);
       now += allowance + rng.Exponential(1.0 / options.mean_think_time_s);
     }

@@ -1,11 +1,12 @@
-// Session workloads with token identity, for shared-prefix KV reuse.
+// Session workloads: multi-round prompt growth with token identity.
 //
-// GenerateConversationTrace (conversation.h) models multi-round prompt
-// growth but leaves token content anonymous, so a prefix cache cannot act on
-// it. The generators here synthesize the actual token ids: every request
-// carries Request::token_ids (prompt ids followed by the scripted reply
-// ids), and each round's prompt embeds the previous round verbatim — exactly
-// the structure a radix prefix cache exploits (SGLang-style RadixAttention).
+// Each round is a separate request whose prompt carries the accumulated
+// history — the source of openchat_sharegpt4's high prompt-length variance
+// (paper §5). Every request carries Request::token_ids (prompt ids followed
+// by the scripted reply ids), and each round's prompt embeds the previous
+// round verbatim — exactly the structure a radix prefix cache exploits
+// (SGLang-style RadixAttention). With system_prompt_tokens = 0 the chat
+// trace is the plain conversation workload of the CLI and cluster bench.
 //
 // Two session shapes:
 //  - Multi-turn chat: a shared system prompt, then rounds of

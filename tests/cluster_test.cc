@@ -1,13 +1,16 @@
 // Tests for multi-replica routing and the conversation workload generator.
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/stats.h"
 #include "src/core/serving_system.h"
 #include "src/simulator/cluster_simulator.h"
-#include "src/workload/conversation.h"
+#include "src/workload/session_trace.h"
 
 namespace sarathi {
 namespace {
@@ -105,34 +108,48 @@ TEST(ClusterTest, SingleReplicaMatchesPlainSimulator) {
 
 // ---------- Conversation workload ----------
 
+// The anonymous multi-turn workload: chat sessions with no shared system
+// prompt, so each session's only structure is its own growing history.
+MultiTurnChatOptions AnonymousChatOptions() {
+  MultiTurnChatOptions options;
+  options.system_prompt_tokens = 0;
+  return options;
+}
+
 TEST(ConversationTest, PromptsGrowWithinAConversation) {
-  ConversationOptions options;
-  options.num_conversations = 1;
+  MultiTurnChatOptions options = AnonymousChatOptions();
+  options.num_sessions = 1;
   options.continue_probability = 0.95;
   options.seed = 5;
-  Trace trace = GenerateConversationTrace(options);
+  Trace trace = GenerateMultiTurnChatTrace(options);
   ASSERT_GE(trace.size(), 2u);
   for (size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GT(trace.requests[i].prompt_tokens, trace.requests[i - 1].prompt_tokens);
     EXPECT_GT(trace.requests[i].arrival_time_s, trace.requests[i - 1].arrival_time_s);
+    // The history is carried verbatim: this round's tokens begin with the
+    // previous round's prompt and reply.
+    const std::vector<int32_t>& previous = *trace.requests[i - 1].token_ids;
+    const std::vector<int32_t>& current = *trace.requests[i].token_ids;
+    ASSERT_GE(current.size(), previous.size());
+    EXPECT_TRUE(std::equal(previous.begin(), previous.end(), current.begin())) << "round " << i;
   }
 }
 
 TEST(ConversationTest, ContextCapRespected) {
-  ConversationOptions options;
-  options.num_conversations = 200;
+  MultiTurnChatOptions options = AnonymousChatOptions();
+  options.num_sessions = 200;
   options.continue_probability = 0.9;
   options.max_context = 4096;
-  Trace trace = GenerateConversationTrace(options);
+  Trace trace = GenerateMultiTurnChatTrace(options);
   for (const auto& r : trace.requests) {
     EXPECT_LE(r.total_tokens(), 4096);
   }
 }
 
 TEST(ConversationTest, SortedArrivalsAndSequentialIds) {
-  ConversationOptions options;
-  options.num_conversations = 50;
-  Trace trace = GenerateConversationTrace(options);
+  MultiTurnChatOptions options = AnonymousChatOptions();
+  options.num_sessions = 50;
+  Trace trace = GenerateMultiTurnChatTrace(options);
   for (size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GE(trace.requests[i].arrival_time_s, trace.requests[i - 1].arrival_time_s);
     EXPECT_EQ(trace.requests[i].id, static_cast<int64_t>(i));
@@ -142,15 +159,15 @@ TEST(ConversationTest, SortedArrivalsAndSequentialIds) {
 TEST(ConversationTest, MultiTurnInflatesPromptVariance) {
   // The paper's observation: round-replay produces much higher prompt-length
   // variance than single-shot sampling of the same turn distribution.
-  ConversationOptions options;
-  options.num_conversations = 400;
+  MultiTurnChatOptions options = AnonymousChatOptions();
+  options.num_sessions = 400;
   options.continue_probability = 0.75;
   options.seed = 11;
-  Trace multi = GenerateConversationTrace(options);
+  Trace multi = GenerateMultiTurnChatTrace(options);
 
-  ConversationOptions single = options;
+  MultiTurnChatOptions single = options;
   single.continue_probability = 0.0;  // One round per conversation.
-  Trace one_shot = GenerateConversationTrace(single);
+  Trace one_shot = GenerateMultiTurnChatTrace(single);
 
   Summary multi_prompts;
   for (const auto& r : multi.requests) {
@@ -164,10 +181,10 @@ TEST(ConversationTest, MultiTurnInflatesPromptVariance) {
 }
 
 TEST(ConversationTest, ServableEndToEnd) {
-  ConversationOptions options;
-  options.num_conversations = 16;
+  MultiTurnChatOptions options = AnonymousChatOptions();
+  options.num_sessions = 16;
   options.start_qps = 0.5;
-  Trace trace = GenerateConversationTrace(options);
+  Trace trace = GenerateMultiTurnChatTrace(options);
   ServingSystem system(MistralOnA100(), SarathiConfig(512));
   SimResult result = system.Serve(trace);
   for (const auto& r : result.requests) {

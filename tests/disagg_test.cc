@@ -123,5 +123,16 @@ TEST(DisaggTest, MfuAccountedAcrossBothPools) {
   EXPECT_GT(result.total_flops, 0.0);
 }
 
+TEST(DisaggTest, KvBlocksReportedAcrossBothPools) {
+  DisaggSimulator simulator(SmallOptions());
+  Trace trace = UniformTrace(8, 1024, 16, 0.0);
+  SimResult result = simulator.Run(trace);
+  // Both pools hold all eight 1024-token contexts at their peak: 64 blocks
+  // each, per pool.
+  EXPECT_GE(result.peak_kv_blocks, 2 * 8 * 64);
+  EXPECT_GT(result.total_kv_blocks, result.peak_kv_blocks);
+  EXPECT_EQ(result.num_preemptions, 0);
+}
+
 }  // namespace
 }  // namespace sarathi

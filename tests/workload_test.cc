@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/stats.h"
 #include "src/workload/dataset.h"
 #include "src/workload/trace.h"
@@ -37,6 +39,11 @@ struct DatasetCase {
   double prompt_p90;
   double output_median;
 };
+
+// Without this, gtest prints the raw bytes of the case, pointers included, so
+// the listed test name would change with every run under address-space
+// randomisation.
+void PrintTo(const DatasetCase& c, std::ostream* os) { *os << c.label; }
 
 class DatasetFitTest : public ::testing::TestWithParam<DatasetCase> {};
 

@@ -24,8 +24,8 @@
 #include "src/scheduler/token_budget.h"
 #include "src/simulator/cluster_simulator.h"
 #include "src/simulator/telemetry.h"
-#include "src/workload/conversation.h"
 #include "src/workload/diurnal.h"
+#include "src/workload/session_trace.h"
 #include "src/workload/trace_io.h"
 
 namespace sarathi {
@@ -257,11 +257,12 @@ StatusOr<Trace> PickTrace(const ArgParser& args) {
   }
 
   if (dataset_name == "conversations") {
-    ConversationOptions conversation;
-    conversation.num_conversations = *requests;
+    MultiTurnChatOptions conversation;
+    conversation.num_sessions = *requests;
     conversation.start_qps = *qps;
+    conversation.system_prompt_tokens = 0;
     conversation.seed = static_cast<uint64_t>(*seed);
-    return GenerateConversationTrace(conversation);
+    return GenerateMultiTurnChatTrace(conversation);
   }
   DatasetSpec dataset;
   if (dataset_name == "sharegpt") {
