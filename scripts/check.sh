@@ -22,6 +22,16 @@ build/tools/sarathi_fuzz --seeds=100 --repro-out=build/fuzz-repro
 echo
 echo "== cascade smoke: correlated faults, partitions, metastable recovery =="
 build/tools/sarathi_fuzz --seeds=100 --force-cascade --repro-out=build/fuzz-repro
+# Parallel seeds must be byte-identical to serial ones, plain and with the
+# cascade dimension forced (the only one that reaches the race code).
+for force in "" --force-cascade; do
+  build/tools/sarathi_fuzz --seeds=40 --jobs=1 $force \
+    --fingerprint-out=build/fuzz-fp-serial.csv > build/fuzz-log-serial.txt
+  build/tools/sarathi_fuzz --seeds=40 --jobs=2 $force \
+    --fingerprint-out=build/fuzz-fp-parallel.csv > build/fuzz-log-parallel.txt
+  cmp build/fuzz-fp-serial.csv build/fuzz-fp-parallel.csv
+  cmp build/fuzz-log-serial.txt build/fuzz-log-parallel.txt
+done
 cmake --build build -j --target bench_ext_cascade
 build/bench/bench_ext_cascade --quick --selfcheck --jobs=2
 

@@ -920,6 +920,33 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     }
   }
 
+  // Every re-routed service attempt — crash retry, timeout re-offer, drain
+  // failover, live migration, race duplicate — is built here: a copy of trace
+  // request i arriving on `replica` at `t`, in a round of its own (a distinct
+  // async-span id, even when it lands back on a replica that already traced
+  // an attempt of this request), with only the remainder of the client's
+  // current deadline window. A client re-offer (`restart_clock`) instead
+  // restarts that window in full. A live migration's destination resumes
+  // after `restored_generated` tokens. The caller appends the returned
+  // attempt to the chain or records it as a race duplicate.
+  auto dispatch = [&](size_t i, int replica, double t, std::set<int>* dirty,
+                      int64_t restored_generated = 0, bool restart_clock = false) {
+    Request attempt = stamped.requests[i];
+    attempt.arrival_time_s = t;
+    attempt.retry_round = static_cast<int64_t>(chains[i].size());
+    attempt.restored_generated = restored_generated;
+    if (attempt.deadline_s > 0.0) {
+      if (restart_clock) {
+        deadline_abs[i] = t + attempt.deadline_s;
+      } else {
+        attempt.deadline_s = deadline_abs[i] - t;
+      }
+    }
+    InsertSorted(&sub[static_cast<size_t>(replica)], attempt);
+    dirty->insert(replica);
+    return Attempt{replica, t, restored_generated > 0};
+  };
+
   // ---- Simulate; re-route crash-interrupted requests until quiescent ----
   std::vector<SimResult> results(static_cast<size_t>(n));
   // Per-replica attempt index: request id -> (attempt arrival, metrics slot),
@@ -1117,31 +1144,20 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
           }
           continue;
         }
-        Request attempt = stamped.requests[i];
-        attempt.arrival_time_s = retry.time;
-        // Distinct round → distinct async-span id, even when the retry lands
-        // back on a replica that already traced an attempt of this request.
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
-        if (attempt.deadline_s > 0.0) {
-          // The client's clock is already running; only the remainder of its
-          // current window is available to the retried attempt.
-          attempt.deadline_s = deadline_abs[i] - retry.time;
-        }
-        int pick = Route(attempt.total_tokens(), retry.time, chains[i].back().replica, &router);
+        int pick = Route(stamped.requests[i].total_tokens(), retry.time,
+                         chains[i].back().replica, &router);
         if (pick < 0) {
           continue;  // Every live replica quarantined or down: failure stands.
         }
         if (dest_tracer != nullptr) {
           dest_tracer->Instant("router", "retry", retry.time,
-                               {Arg("request", attempt.id),
+                               {Arg("request", stamped.requests[i].id),
                                 Arg("replica", static_cast<int64_t>(pick))});
         }
         if (dest_metrics != nullptr) {
           dest_metrics->AddCount("retries", retry.time);
         }
-        chains[i].push_back({pick, retry.time, false});
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
-        dirty.insert(pick);
+        chains[i].push_back(dispatch(i, pick, retry.time, &dirty));
       }
       if (dirty.empty()) {
         break;  // Nothing routable this round; nothing will change.
@@ -1151,11 +1167,15 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   };
   run_retry_rounds();
 
-  auto deadline_abs_of = [&](size_t i) { return deadline_abs[i]; };
   auto attempt_metrics = [&](const Attempt& attempt, int64_t id) -> const RequestMetrics& {
     size_t slot = find_slot(attempt.replica, id, attempt.arrival_s);
     CHECK_NE(slot, kNoSlot);
     return results[static_cast<size_t>(attempt.replica)].requests[slot];
+  };
+  // When an attempt stopped occupying its replica: completion, failure, or
+  // never within the run.
+  auto done_time = [](const RequestMetrics& m) {
+    return m.completed() ? m.completion_s : (m.failed() ? m.failed_s : kInfinity);
   };
 
   // ---- Client timeout-retries (the metastable amplification source) ----
@@ -1226,25 +1246,16 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         if (!any_up) {
           continue;  // Nothing to re-offer to: the timeout stands.
         }
-        Request attempt = stamped.requests[i];
-        attempt.arrival_time_s = re.time;
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
-        int pick = Route(attempt.total_tokens(), re.time, /*exclude=*/-1, &router);
+        int pick = Route(stamped.requests[i].total_tokens(), re.time, /*exclude=*/-1, &router);
         if (pick < 0) {
           continue;
         }
-        if (attempt.deadline_s > 0.0) {
-          // Fresh full window: the client's clock restarts at the re-offer.
-          deadline_abs[i] = re.time + stamped.requests[i].deadline_s;
-        }
         failure_override[i] = {FailureKind::kNone, -1.0};
-        chains[i].push_back({pick, re.time, false});
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
-        dirty.insert(pick);
+        chains[i].push_back(dispatch(i, pick, re.time, &dirty, 0, /*restart_clock=*/true));
         ++timeout_retries;
         if (dest_tracer != nullptr) {
           dest_tracer->Instant("router", "timeout_retry", re.time,
-                               {Arg("request", attempt.id),
+                               {Arg("request", stamped.requests[i].id),
                                 Arg("replica", static_cast<int64_t>(pick))});
         }
         if (dest_metrics != nullptr) {
@@ -1287,14 +1298,13 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       if (m.failure == FailureKind::kReplicaCrash || m.token_times_s.empty()) {
         continue;
       }
-      double done_t = m.completed() ? m.completion_s : (m.failed() ? m.failed_s : kInfinity);
-      double deadline_abs = deadline_abs_of(i);
+      double done_t = done_time(m);
       for (const DetectedInterval& d : detected_[static_cast<size_t>(att.replica)]) {
         double t_m = std::max(d.begin_s, m.token_times_s.front()) + options_.migration_delay_s;
         if (t_m >= d.end_s || t_m >= done_t) {
           continue;  // Detection cleared, or the request finished first.
         }
-        if (deadline_abs > 0.0 && t_m >= deadline_abs) {
+        if (deadline_abs[i] > 0.0 && t_m >= deadline_abs[i]) {
           continue;  // The client gives up before the failover lands.
         }
         if (PartitionedAt(att.replica, t_m)) {
@@ -1363,23 +1373,14 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         }
         continue;
       }
-      double deadline_abs = deadline_abs_of(d.index);
+      double deadline = deadline_abs[d.index];
       if (!live_migrate) {
         double t = sm.failed_s;
-        if (deadline_abs > 0.0 && t >= deadline_abs) {
-          failure_override[d.index] = {FailureKind::kTimeout, deadline_abs};
+        if (deadline > 0.0 && t >= deadline) {
+          failure_override[d.index] = {FailureKind::kTimeout, deadline};
           continue;
         }
-        Request attempt = stamped.requests[d.index];
-        attempt.arrival_time_s = t;
-        attempt.retry_round = static_cast<int64_t>(chains[d.index].size());
-        attempt.num_samples = 1;
-        if (attempt.deadline_s > 0.0) {
-          attempt.deadline_s = deadline_abs - t;
-        }
-        chains[d.index].push_back({d.dst, t, false});
-        InsertSorted(&sub[static_cast<size_t>(d.dst)], attempt);
-        dirty_dst.insert(d.dst);
+        chains[d.index].push_back(dispatch(d.index, d.dst, t, &dirty_dst));
         ++drain_failovers;
         if (dest_metrics != nullptr) {
           dest_metrics->AddCount("drain_failovers", t);
@@ -1411,23 +1412,13 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       double busy = static_cast<double>(bytes) / options_.migration_bandwidth_Bps;
       link_free = start + busy;
       double ready = start + busy + options_.migration_latency_s;
-      double deadline_abs = deadline_abs_of(tr.index);
-      if (deadline_abs > 0.0 && ready >= deadline_abs) {
-        failure_override[tr.index] = {FailureKind::kTimeout, deadline_abs};
+      double deadline = deadline_abs[tr.index];
+      if (deadline > 0.0 && ready >= deadline) {
+        failure_override[tr.index] = {FailureKind::kTimeout, deadline};
         ++migrations_cancelled;
         continue;
       }
-      Request attempt = original;
-      attempt.arrival_time_s = ready;
-      attempt.retry_round = static_cast<int64_t>(chains[tr.index].size());
-      attempt.num_samples = 1;
-      attempt.restored_generated = tr.generated;
-      if (attempt.deadline_s > 0.0) {
-        attempt.deadline_s = deadline_abs - ready;
-      }
-      chains[tr.index].push_back({tr.dst, ready, true});
-      InsertSorted(&sub[static_cast<size_t>(tr.dst)], attempt);
-      dirty_dst.insert(tr.dst);
+      chains[tr.index].push_back(dispatch(tr.index, tr.dst, ready, &dirty_dst, tr.generated));
       ++migrations_done;
       migrated_kv_bytes += bytes;
       if (dest_tracer != nullptr) {
@@ -1444,25 +1435,37 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     run_retry_rounds();  // Destinations can crash like anything else.
   }
 
-  // ---- Partition redispatch & reconciliation ----
-  // A request in flight on a replica that partitions keeps executing there
-  // (the far side), but nothing it emits reaches the client until the window
-  // heals. Once the prober declares the replica unreachable, the router
-  // redispatches a duplicate near-side. At reconciliation exactly one
-  // attempt's stream is delivered: whichever completion becomes
-  // client-visible first wins (far-side emissions inside the window deliver
-  // at the window's end), and the loser is suppressed — cancelled mid-service
-  // where a cancel can reach it.
-  struct PartitionDup {
-    bool issued = false;
-    int replica = -1;
-    double arrival_s = 0.0;
-    double p_begin = 0.0;
-    double p_end = 0.0;
+  // ---- Races: partition redispatch and hedged dispatch ----
+  // Both speculatively duplicate a request's last attempt onto another
+  // replica and deliver whichever copy the client sees complete first. Each
+  // kind has its own trigger:
+  //  - Partition: a request in flight on a replica that partitions keeps
+  //    executing there (the far side), but nothing it emits reaches the
+  //    client until the window heals. When the prober declares the replica
+  //    unreachable inside the window, the router duplicates it near-side.
+  //  - Hedge: a request still unfinished hedge_after_s into its replica's
+  //    detected degradation is duplicated onto a clean replica.
+  // One rule resolves every race, in the cancel pass and in the merge alike:
+  // the attempt with the earlier client-visible completion (deliver_time)
+  // wins, ties going to the primary, and the loser is cancelled at
+  // deliver_time(loser's replica, winner's completion) — a cancel cannot
+  // cross a partition either, so a far-side loser is cancelled no earlier
+  // than its window's end. Re-simulating after the cancels can still shift
+  // completions, so the merge applies the rule again to the final metrics.
+  // Partition races run first, so hedging decides from the
+  // post-reconciliation timeline.
+  enum class RaceKind { kNone, kPartition, kHedge };
+  struct Race {
+    RaceKind kind = RaceKind::kNone;
+    Attempt dup{-1, 0.0};
+    // The far replica's partition window (partition races only).
+    double window_begin_s = 0.0;
+    double window_end_s = 0.0;
   };
-  std::vector<PartitionDup> pdups(num_requests);
+  std::vector<Race> races(num_requests);
   int64_t partition_redispatches = 0;
   int64_t partition_reconciled = 0;
+  int64_t hedges_issued = 0;
   // Client-visible delivery time of an emission from `replica` at time t:
   // deferred to the end of the partition window when inside one.
   auto deliver_time = [&](int replica, double t) {
@@ -1476,144 +1479,126 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     }
     return t;
   };
-  {
+  // The race rule: the duplicate wins only with a strictly earlier
+  // client-visible completion; t_win is the winner's (infinity when neither
+  // attempt completes).
+  struct RaceOutcome {
+    bool dup_wins;
+    double t_win;
+  };
+  auto resolve_race = [&](int primary_replica, const RequestMetrics& pm, int dup_replica,
+                          const RequestMetrics& dm) {
+    double p_fin = pm.completed() ? deliver_time(primary_replica, pm.completion_s) : kInfinity;
+    double d_fin = dm.completed() ? deliver_time(dup_replica, dm.completion_s) : kInfinity;
+    return RaceOutcome{d_fin < p_fin, std::min(p_fin, d_fin)};
+  };
+  // Duplicates every request whose last attempt `trigger` fires on (it
+  // returns the dispatch time, or a negative value for no duplicate, and may
+  // record the partition window), then cancels each race's loser.
+  auto run_races = [&](RaceKind kind, auto&& trigger) {
     std::set<int> dirty;
     for (size_t i = 0; i < num_requests; ++i) {
       if (shed[i] || failure_override[i].first != FailureKind::kNone ||
-          stamped.requests[i].num_samples > 1) {
+          stamped.requests[i].num_samples > 1 || races[i].kind != RaceKind::kNone) {
         continue;
       }
-      const Attempt& att = chains[i].back();
-      if (att.migrated_in || quarantined_[static_cast<size_t>(att.replica)] ||
-          partition_windows_[static_cast<size_t>(att.replica)].empty()) {
+      const Attempt& primary = chains[i].back();
+      // Requests on (or migrated off) a quarantined replica are already being
+      // handled by the failover path; a duplicate would stamp cancels onto a
+      // replica whose checkpoint timings must stay frozen.
+      if (primary.migrated_in || quarantined_[static_cast<size_t>(primary.replica)]) {
         continue;
       }
-      const RequestMetrics& m = attempt_metrics(att, stamped.requests[i].id);
-      if (m.failure == FailureKind::kReplicaCrash) {
-        continue;  // The retry machinery owns crash-interrupted attempts.
+      Race race;
+      double t = trigger(i, primary, &race);
+      if (t < 0.0) {
+        continue;
       }
-      double done_t = m.completed() ? m.completion_s : (m.failed() ? m.failed_s : kInfinity);
-      for (const ReplicaOutage& w : partition_windows_[static_cast<size_t>(att.replica)]) {
-        if (att.arrival_s >= w.down_s) {
-          continue;  // Dispatched after the cut; the router never saw it vanish.
-        }
-        if (done_t <= w.down_s) {
-          continue;  // Finished client-visibly before the cut.
-        }
-        // The router acts when the prober's verdict lands inside the window.
-        double td = -1.0;
-        for (const DetectedInterval& d : detected_unreachable_[static_cast<size_t>(att.replica)]) {
-          if (d.begin_s >= w.down_s && d.begin_s < w.up_s) {
-            td = d.begin_s;
-            break;
-          }
-        }
-        if (td < 0.0) {
-          break;  // Window shorter than the prober's hysteresis: ride it out.
-        }
-        if (deadline_abs[i] > 0.0 && td >= deadline_abs[i]) {
-          break;  // The client gives up before the duplicate could land.
-        }
-        Request attempt = stamped.requests[i];
-        attempt.arrival_time_s = td;
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
-        attempt.num_samples = 1;
-        if (attempt.deadline_s > 0.0) {
-          attempt.deadline_s = deadline_abs[i] - td;
-        }
-        int pick = Route(attempt.total_tokens(), td, att.replica, &router);
-        if (pick < 0 || pick == att.replica) {
-          break;  // Nowhere reachable to duplicate onto.
-        }
-        pdups[i] = {true, pick, td, w.down_s, w.up_s};
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
-        dirty.insert(pick);
-        ++partition_redispatches;
-        if (dest_tracer != nullptr) {
-          dest_tracer->Instant("router", "partition_redispatch", td,
-                               {Arg("request", attempt.id),
-                                Arg("replica", static_cast<int64_t>(pick))});
-        }
-        if (dest_metrics != nullptr) {
-          dest_metrics->AddCount("partition_redispatches", td);
-        }
-        break;
+      int pick = Route(stamped.requests[i].total_tokens(), t, primary.replica, &router);
+      if (pick < 0 || pick == primary.replica) {
+        continue;  // Nowhere else to duplicate onto.
+      }
+      race.kind = kind;
+      race.dup = dispatch(i, pick, t, &dirty);
+      races[i] = race;
+      bool hedge = kind == RaceKind::kHedge;
+      ++(hedge ? hedges_issued : partition_redispatches);
+      if (dest_tracer != nullptr) {
+        dest_tracer->Instant("router", hedge ? "hedge" : "partition_redispatch", t,
+                             {Arg("request", stamped.requests[i].id),
+                              Arg("replica", static_cast<int64_t>(pick))});
+      }
+      if (dest_metrics != nullptr) {
+        dest_metrics->AddCount(hedge ? "hedges" : "partition_redispatches", t);
       }
     }
     simulate_all({dirty.begin(), dirty.end()});
-    // First-visible-completion-wins: the far attempt's completion counts at
-    // its delivery time (deferred past the window). The loser is cancelled —
-    // at the winner's visible completion for the near-side loser; no earlier
-    // than the window's end for the far-side loser, since the cancel itself
-    // cannot cross the partition.
     std::set<int> dirty_cancel;
     for (size_t i = 0; i < num_requests; ++i) {
-      if (!pdups[i].issued) {
+      if (races[i].kind != kind) {
         continue;
       }
-      const Attempt& far = chains[i].back();
-      const RequestMetrics& fm = attempt_metrics(far, stamped.requests[i].id);
-      Attempt dup_attempt{pdups[i].replica, pdups[i].arrival_s, false};
-      const RequestMetrics& dm = attempt_metrics(dup_attempt, stamped.requests[i].id);
-      double f_fin = fm.completed() ? deliver_time(far.replica, fm.completion_s) : kInfinity;
-      double d_fin = dm.completed() ? dm.completion_s : kInfinity;
-      if (f_fin == kInfinity && d_fin == kInfinity) {
-        continue;  // Neither attempt ever completes; nothing to suppress.
+      const Attempt& primary = chains[i].back();
+      const Attempt& dup = races[i].dup;
+      RaceOutcome outcome =
+          resolve_race(primary.replica, attempt_metrics(primary, stamped.requests[i].id),
+                       dup.replica, attempt_metrics(dup, stamped.requests[i].id));
+      if (outcome.t_win == kInfinity) {
+        continue;  // Neither attempt ever completes; both outcomes stand.
       }
-      bool far_wins = f_fin <= d_fin;  // Ties go to the original attempt.
-      double t_win = far_wins ? f_fin : d_fin;
-      int loser_replica = far_wins ? pdups[i].replica : far.replica;
-      double loser_arrival = far_wins ? pdups[i].arrival_s : far.arrival_s;
-      double t_cancel = far_wins ? t_win : std::max(t_win, pdups[i].p_end);
-      Request* sub_request = FindSubRequest(&sub[static_cast<size_t>(loser_replica)],
-                                            stamped.requests[i].id, loser_arrival);
+      const Attempt& loser = outcome.dup_wins ? primary : dup;
+      Request* sub_request = FindSubRequest(&sub[static_cast<size_t>(loser.replica)],
+                                            stamped.requests[i].id, loser.arrival_s);
       CHECK(sub_request != nullptr);
       sub_request->planned_abort = PlannedAbort::kHedgeCancel;
-      sub_request->planned_abort_s = t_cancel;
-      dirty_cancel.insert(loser_replica);
+      sub_request->planned_abort_s = deliver_time(loser.replica, outcome.t_win);
+      dirty_cancel.insert(loser.replica);
     }
     simulate_all({dirty_cancel.begin(), dirty_cancel.end()});
-  }
-
-  // ---- Hedged dispatch ----
-  // A request still unfinished hedge_after_s into its replica's detected
-  // degradation is duplicated onto a healthy replica; whichever attempt
-  // finishes first wins and the loser is cancelled at the winner's finish.
-  // Winners are decided from the pre-cancellation timeline; cancellation only
-  // removes load, so the decided winner still finishes by its decided time
-  // and the merge re-reads the final metrics either way.
-  struct HedgeInfo {
-    bool issued = false;
-    int replica = -1;
-    double arrival_s = 0.0;
   };
-  std::vector<HedgeInfo> hedges(num_requests);
-  int64_t hedges_issued = 0;
+
+  run_races(RaceKind::kPartition, [&](size_t i, const Attempt& far, Race* race) {
+    if (partition_windows_[static_cast<size_t>(far.replica)].empty()) {
+      return -1.0;
+    }
+    const RequestMetrics& m = attempt_metrics(far, stamped.requests[i].id);
+    if (m.failure == FailureKind::kReplicaCrash) {
+      return -1.0;  // The retry machinery owns crash-interrupted attempts.
+    }
+    double done_t = done_time(m);
+    for (const ReplicaOutage& w : partition_windows_[static_cast<size_t>(far.replica)]) {
+      if (far.arrival_s >= w.down_s) {
+        continue;  // Dispatched after the cut; the router never saw it vanish.
+      }
+      if (done_t <= w.down_s) {
+        continue;  // Finished client-visibly before the cut.
+      }
+      // The router acts when the prober's verdict lands inside the window;
+      // a window shorter than the prober's hysteresis is ridden out.
+      for (const DetectedInterval& d : detected_unreachable_[static_cast<size_t>(far.replica)]) {
+        if (d.begin_s >= w.down_s && d.begin_s < w.up_s) {
+          if (deadline_abs[i] > 0.0 && d.begin_s >= deadline_abs[i]) {
+            return -1.0;  // The client gives up before the duplicate could land.
+          }
+          race->window_begin_s = w.down_s;
+          race->window_end_s = w.up_s;
+          return d.begin_s;
+        }
+      }
+      return -1.0;
+    }
+    return -1.0;
+  });
+
   if (options_.hedge_after_s > 0.0) {
-    std::set<int> dirty;
-    for (size_t i = 0; i < num_requests; ++i) {
-      if (shed[i] || failure_override[i].first != FailureKind::kNone ||
-          stamped.requests[i].num_samples > 1) {
-        continue;
-      }
-      const Attempt& att = chains[i].back();
-      // Requests on (or migrated off) a quarantined replica are already being
-      // handled by the failover path; hedging them too would stamp cancels
-      // onto a replica whose checkpoint timings must stay frozen. Requests
-      // caught behind a partition are owned by the redispatch path above.
-      if (att.migrated_in || quarantined_[static_cast<size_t>(att.replica)] ||
-          pdups[i].issued) {
-        continue;
-      }
-      const RequestMetrics& m = attempt_metrics(att, stamped.requests[i].id);
-      double done_t = m.completed() ? m.completion_s : (m.failed() ? m.failed_s : kInfinity);
-      double deadline_abs = deadline_abs_of(i);
-      for (const DetectedInterval& d : detected_[static_cast<size_t>(att.replica)]) {
-        double t_h = std::max(d.begin_s, att.arrival_s) + options_.hedge_after_s;
+    run_races(RaceKind::kHedge, [&](size_t i, const Attempt& primary, Race*) {
+      double done_t = done_time(attempt_metrics(primary, stamped.requests[i].id));
+      for (const DetectedInterval& d : detected_[static_cast<size_t>(primary.replica)]) {
+        double t_h = std::max(d.begin_s, primary.arrival_s) + options_.hedge_after_s;
         if (t_h >= d.end_s || t_h >= done_t) {
           continue;  // Detection cleared, or the request finished first.
         }
-        if (deadline_abs > 0.0 && t_h >= deadline_abs) {
+        if (deadline_abs[i] > 0.0 && t_h >= deadline_abs[i]) {
           continue;
         }
         if (options_.hedge_suppress_outstanding_s > 0.0) {
@@ -1636,7 +1621,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
             if (dest_metrics != nullptr) {
               dest_metrics->AddCount("hedges_suppressed", t_h);
             }
-            break;
+            return -1.0;
           }
         }
         // A hedge is pure speculation, so its target must be clean: down,
@@ -1644,86 +1629,17 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         // unreachable replicas are excluded outright — with no fall-back,
         // unlike regular routing, because a duplicate on a suspect replica is
         // only added load.
-        bool have_target = false;
         for (int r = 0; r < n; ++r) {
-          if (r == att.replica || DownAt(r, t_h) || PartitionedAt(r, t_h) ||
-              quarantined_[static_cast<size_t>(r)] || !ProvisionedAt(r, t_h) ||
-              DetectedDegradedAt(r, t_h) || DetectedUnreachableAt(r, t_h)) {
-            continue;
+          if (r != primary.replica && !DownAt(r, t_h) && !PartitionedAt(r, t_h) &&
+              !quarantined_[static_cast<size_t>(r)] && ProvisionedAt(r, t_h) &&
+              !DetectedDegradedAt(r, t_h) && !DetectedUnreachableAt(r, t_h)) {
+            return t_h;
           }
-          have_target = true;
-          break;
         }
-        if (!have_target) {
-          break;  // No clean alternative to hedge onto.
-        }
-        int pick = Route(stamped.requests[i].total_tokens(), t_h, att.replica, &router);
-        if (pick < 0 || pick == att.replica) {
-          break;  // No healthy alternative to hedge onto.
-        }
-        Request attempt = stamped.requests[i];
-        attempt.arrival_time_s = t_h;
-        // Hedges sit outside the retry chain but still need a round of their
-        // own: chains[i].size() is one past the last chained attempt's round,
-        // and no further chain attempt is created after hedging.
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
-        attempt.num_samples = 1;
-        if (attempt.deadline_s > 0.0) {
-          attempt.deadline_s = deadline_abs - t_h;
-        }
-        hedges[i] = {true, pick, t_h};
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
-        dirty.insert(pick);
-        ++hedges_issued;
-        if (dest_tracer != nullptr) {
-          dest_tracer->Instant("router", "hedge", t_h,
-                               {Arg("request", attempt.id),
-                                Arg("replica", static_cast<int64_t>(pick))});
-        }
-        if (dest_metrics != nullptr) {
-          dest_metrics->AddCount("hedges", t_h);
-        }
-        break;
+        return -1.0;  // No clean alternative to hedge onto.
       }
-    }
-    simulate_all({dirty.begin(), dirty.end()});
-    // First-finisher-wins: cancel the loser at the winner's completion (ties
-    // go to the primary). When neither attempt ever completes there is
-    // nothing to cancel — both outcomes stand and the merge keeps the
-    // primary's failure.
-    std::set<int> dirty_cancel;
-    for (size_t i = 0; i < num_requests; ++i) {
-      if (!hedges[i].issued) {
-        continue;
-      }
-      const Attempt& primary = chains[i].back();
-      const RequestMetrics& pm = attempt_metrics(primary, stamped.requests[i].id);
-      Attempt hedge_attempt{hedges[i].replica, hedges[i].arrival_s, false};
-      const RequestMetrics& hm = attempt_metrics(hedge_attempt, stamped.requests[i].id);
-      double p_fin = pm.completed() ? pm.completion_s : kInfinity;
-      double h_fin = hm.completed() ? hm.completion_s : kInfinity;
-      double t_win;
-      int loser_replica;
-      double loser_arrival;
-      if (h_fin < p_fin) {
-        t_win = h_fin;
-        loser_replica = primary.replica;
-        loser_arrival = primary.arrival_s;
-      } else if (p_fin < kInfinity) {
-        t_win = p_fin;
-        loser_replica = hedges[i].replica;
-        loser_arrival = hedges[i].arrival_s;
-      } else {
-        continue;
-      }
-      Request* sub_request = FindSubRequest(&sub[static_cast<size_t>(loser_replica)],
-                                            stamped.requests[i].id, loser_arrival);
-      CHECK(sub_request != nullptr);
-      sub_request->planned_abort = PlannedAbort::kHedgeCancel;
-      sub_request->planned_abort_s = t_win;
-      dirty_cancel.insert(loser_replica);
-    }
-    simulate_all({dirty_cancel.begin(), dirty_cancel.end()});
+      return -1.0;
+    });
   }
 
   // ---- Merge ----
@@ -1779,9 +1695,6 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       emitted += static_cast<int64_t>(am.token_times_s.size());
       wasted += am.wasted_tokens;
       cached += am.cached_prefill_tokens;
-      if (am.failure == FailureKind::kHedgeCancelled) {
-        ++merged.hedges_cancelled;
-      }
       if (first_sched < 0.0) {
         first_sched = am.first_scheduled_s;
       }
@@ -1820,91 +1733,58 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     }
     std::vector<double> stream = carried;
     stream.insert(stream.end(), fresh.begin(), fresh.end());
-    // Hedge resolution, from the final simulated data (re-simulation after
-    // cancellation can only move completions earlier, so the decided winner
-    // may even have improved — whichever attempt actually finished first is
-    // the one the client was served from).
+    // Race resolution: the cancel pass's rule applied to the final simulated
+    // data, so the client is served from whichever attempt actually became
+    // visible first.
     int64_t hedged = 0;
-    if (hedges[i].issued) {
-      hedged = 1;
-      SimResult& hedge_result = results[static_cast<size_t>(hedges[i].replica)];
-      size_t hslot = find_slot(hedges[i].replica, original.id, hedges[i].arrival_s);
-      CHECK_NE(hslot, kNoSlot);
-      consumed[static_cast<size_t>(hedges[i].replica)][hslot] = true;
-      const RequestMetrics& hm = hedge_result.requests[hslot];
-      emitted += static_cast<int64_t>(hm.token_times_s.size());
-      wasted += hm.wasted_tokens;
-      cached += hm.cached_prefill_tokens;
-      if (hm.failure == FailureKind::kHedgeCancelled) {
-        ++merged.hedges_cancelled;
-      }
-      double p_fin = final_attempt->completed()
-                         ? deliver_time(final_replica, final_attempt->completion_s)
-                         : kInfinity;
-      double h_fin =
-          hm.completed() ? deliver_time(hedges[i].replica, hm.completion_s) : kInfinity;
-      if (h_fin < p_fin) {
-        ++merged.hedges_won;
-        size_t drop = std::min(carried.size(), hm.token_times_s.size());
-        stream = carried;
-        for (size_t k = drop; k < hm.token_times_s.size(); ++k) {
-          stream.push_back(deliver_time(hedges[i].replica, hm.token_times_s[k]));
-        }
-        if (carried.empty()) {
-          first_sched = hm.first_scheduled_s;
-        }
-        final_attempt = &hm;
-        final_replica = hedges[i].replica;
-      }
-    }
-    // Partition reconciliation: pick the client-visible winner between the
-    // far (partitioned) attempt and its near-side duplicate, deliver exactly
-    // one stream, and audit the outcome against partition_conservation.
-    if (pdups[i].issued) {
-      SimResult& dup_result = results[static_cast<size_t>(pdups[i].replica)];
-      size_t dslot = find_slot(pdups[i].replica, original.id, pdups[i].arrival_s);
+    const Race& race = races[i];
+    if (race.kind != RaceKind::kNone) {
+      const Attempt& dup = race.dup;
+      size_t dslot = find_slot(dup.replica, original.id, dup.arrival_s);
       CHECK_NE(dslot, kNoSlot);
-      consumed[static_cast<size_t>(pdups[i].replica)][dslot] = true;
-      const RequestMetrics& dm = dup_result.requests[dslot];
+      consumed[static_cast<size_t>(dup.replica)][dslot] = true;
+      const RequestMetrics& dm = results[static_cast<size_t>(dup.replica)].requests[dslot];
+      const RequestMetrics& pm = *final_attempt;
       emitted += static_cast<int64_t>(dm.token_times_s.size());
       wasted += dm.wasted_tokens;
       cached += dm.cached_prefill_tokens;
-      double f_fin = final_attempt->completed()
-                         ? deliver_time(final_replica, final_attempt->completion_s)
-                         : kInfinity;
-      double d_fin =
-          dm.completed() ? deliver_time(pdups[i].replica, dm.completion_s) : kInfinity;
-      if (f_fin < kInfinity || d_fin < kInfinity) {
-        bool far_wins = f_fin <= d_fin;  // Ties go to the original attempt.
-        const RequestMetrics* loser = far_wins ? &dm : final_attempt;
-        if (!far_wins) {
-          size_t drop = std::min(carried.size(), dm.token_times_s.size());
-          stream = carried;
-          for (size_t k = drop; k < dm.token_times_s.size(); ++k) {
-            stream.push_back(deliver_time(pdups[i].replica, dm.token_times_s[k]));
-          }
-          if (carried.empty()) {
-            first_sched = dm.first_scheduled_s;
-          }
-          final_attempt = &dm;
-          final_replica = pdups[i].replica;
+      RaceOutcome outcome = resolve_race(final_replica, pm, dup.replica, dm);
+      if (outcome.dup_wins) {
+        size_t drop = std::min(carried.size(), dm.token_times_s.size());
+        stream = carried;
+        for (size_t k = drop; k < dm.token_times_s.size(); ++k) {
+          stream.push_back(deliver_time(dup.replica, dm.token_times_s[k]));
         }
+        if (carried.empty()) {
+          first_sched = dm.first_scheduled_s;
+        }
+        final_attempt = &dm;
+        final_replica = dup.replica;
+      }
+      if (race.kind == RaceKind::kHedge) {
+        hedged = 1;
+        merged.hedges_won += outcome.dup_wins ? 1 : 0;
+        merged.hedges_cancelled += (pm.failure == FailureKind::kHedgeCancelled ? 1 : 0) +
+                                   (dm.failure == FailureKind::kHedgeCancelled ? 1 : 0);
+      } else if (outcome.t_win < kInfinity) {
+        // Partition reconciliation: exactly one stream is delivered, audited
+        // against partition_conservation.
         ++partition_reconciled;
         if (options_.replica.checker != nullptr) {
           PartitionReconcile rec;
           rec.request_id = original.id;
-          rec.partition_begin_s = pdups[i].p_begin;
-          rec.partition_end_s = pdups[i].p_end;
-          rec.winner_far = far_wins;
+          rec.partition_begin_s = race.window_begin_s;
+          rec.partition_end_s = race.window_end_s;
+          rec.winner_far = !outcome.dup_wins;
           rec.winner_token_times_s = stream;
-          rec.winner_completion_s = far_wins ? f_fin : d_fin;
+          rec.winner_completion_s = outcome.t_win;
           rec.delivered_token_times_s = stream;
           rec.delivered_completion_s = rec.winner_completion_s;
           // Client-side suppression: once a winner is delivered, the losing
           // completion never reaches the client, whether or not the cancel
           // caught the loser mid-service.
           rec.loser_suppressed = true;
-          rec.loser_completed = loser->completed();
+          rec.loser_completed = (outcome.dup_wins ? pm : dm).completed();
           rec.output_tokens = original.output_tokens;
           options_.replica.checker->CheckPartitionReconcile(rec);
         }

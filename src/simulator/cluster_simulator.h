@@ -35,10 +35,18 @@
 //    run so the checkpointed image stays consistent with what the
 //    destination restored.
 //  - Hedged dispatch: a request stuck on a detected-degraded replica is
-//    speculatively re-dispatched to a healthy one after `hedge_after_s`; the
-//    first attempt to finish wins and the loser is cancelled mid-service
-//    (first-finisher-wins at response granularity — the client consumes the
-//    winner's stream, the loser's tokens count as wasted duplicates).
+//    speculatively re-dispatched to a healthy one after `hedge_after_s`.
+//
+// Hedges and partition redispatches (a near-side duplicate of a request
+// caught behind a detected partition) are the two kinds of race, resolved
+// by one rule at response granularity: the attempt whose completion reaches
+// the client first — partitioned emissions deliver at the heal — wins, ties
+// going to the primary; the client consumes the winner's stream, and the
+// loser is cancelled mid-service at the winner's visible completion
+// (deferred to its own replica's heal if partitioned), its tokens counted as
+// wasted duplicates. Hedge races alone feed hedges_issued / hedges_won /
+// hedges_cancelled; partition races feed partition_redispatches /
+// partition_reconciled.
 
 #ifndef SRC_SIMULATOR_CLUSTER_SIMULATOR_H_
 #define SRC_SIMULATOR_CLUSTER_SIMULATOR_H_

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/serving_system.h"
+#include "src/obs/tracer.h"
 #include "src/robustness/cascade.h"
 #include "src/scheduler/scheduler_factory.h"
 #include "src/simulator/cluster_simulator.h"
@@ -482,6 +483,156 @@ TEST(ClusterPartitionTest, PartitionedReplicaIsNeverAHedgeTarget) {
   for (const RequestMetrics& r : partitioned.requests) {
     EXPECT_EQ(r.hedges, 0);
   }
+}
+
+// ---------- Cluster: partition races share the race rule ----------
+
+// Fuzz-derived cases (sarathi_fuzz --force-cascade, minimized): LLaMA2-70B
+// TP4-PP2 replicas with KV pools a few requests deep, so work queues long
+// enough for domain partitions to catch it in flight.
+ClusterOptions FuzzCluster(const SchedulerConfig& scheduler, AllocatorKind allocator,
+                           int64_t kv_capacity_tokens, int64_t kv_max_seq_len) {
+  Deployment deployment = LlamaOnA40Tp4Pp2();
+  ClusterOptions options;
+  options.replica.model = deployment.model;
+  options.replica.cluster = deployment.cluster;
+  options.replica.parallel = deployment.parallel;
+  options.replica.scheduler = scheduler;
+  options.replica.allocator_kind = allocator;
+  options.replica.kv_capacity_tokens = kv_capacity_tokens;
+  options.replica.kv_max_seq_len = kv_max_seq_len;
+  options.num_replicas = 3;
+  options.routing = RoutingPolicy::kLeastOutstandingWork;
+  return options;
+}
+
+struct FuzzRequest {
+  int64_t id;
+  double arrival_s;
+  int64_t prompt_tokens;
+  int64_t output_tokens;
+};
+
+Trace FuzzTrace(const std::vector<FuzzRequest>& rows) {
+  Trace trace;
+  trace.name = "fuzz";
+  for (const FuzzRequest& row : rows) {
+    Request r;
+    r.id = row.id;
+    r.arrival_time_s = row.arrival_s;
+    r.prompt_tokens = row.prompt_tokens;
+    r.output_tokens = row.output_tokens;
+    trace.requests.push_back(r);
+  }
+  return trace;
+}
+
+TEST(ClusterPartitionTest, PartitionRacesNeverCountAsHedges) {
+  // From fuzz seed 102 (sarathi/paged cell): domain faults are partitions
+  // only and hedging is off. Far attempts cancelled as partition-race losers
+  // used to be counted in hedges_cancelled, so the run reported cancelled
+  // hedges with none issued.
+  InvariantChecker checker;
+  SchedulerConfig scheduler;
+  scheduler.policy = SchedulerPolicy::kSarathi;
+  scheduler.token_budget = 128;
+  scheduler.max_batch_size = 4;
+  scheduler.align_chunks_to_tile = true;
+  ClusterOptions options = FuzzCluster(scheduler, AllocatorKind::kPaged, 848, 424);
+  options.replica.checker = &checker;
+  options.faults.seed = 119;
+  options.faults.mtbf_s = 19.284420279237743;
+  options.faults.mttr_s = 1.4311471265165072;
+  options.faults.min_outage_s = 0.25;
+  options.faults.num_domains = 2;
+  options.faults.domain_mtbf_s = 9.0;
+  options.faults.domain_mttr_s = 1.0;
+  options.faults.min_domain_outage_s = 0.5;
+  options.faults.domain_partition_fraction = 1.0;
+  ASSERT_EQ(options.hedge_after_s, 0.0);
+  // Everything arrives at once.
+  Trace trace = FuzzTrace({{0, 0.0, 260, 8},   {1, 0.0, 5, 33},    {2, 0.0, 56, 18},
+                           {3, 0.0, 333, 26},  {4, 0.0, 176, 24},  {5, 0.0, 285, 18},
+                           {6, 0.0, 349, 2},   {7, 0.0, 328, 48},  {9, 0.0, 250, 19},
+                           {10, 0.0, 155, 5},  {11, 0.0, 237, 45}, {12, 0.0, 21, 3},
+                           {13, 0.0, 118, 14}, {14, 0.0, 193, 30}, {15, 0.0, 321, 26},
+                           {16, 0.0, 137, 31}, {17, 0.0, 19, 1},   {18, 0.0, 352, 12},
+                           {19, 0.0, 117, 33}, {20, 0.0, 320, 45}, {21, 0.0, 192, 30}});
+
+  SimResult result = ClusterSimulator(options).Run(trace);
+  ASSERT_GT(result.partition_reconciled, 0);
+  EXPECT_EQ(result.hedges_issued, 0);
+  EXPECT_EQ(result.hedges_won, 0);
+  EXPECT_EQ(result.hedges_cancelled, 0);
+  EXPECT_TRUE(checker.ok()) << checker.Report();
+}
+
+TEST(ClusterPartitionTest, CancelPassAndMergePickTheSameWinner) {
+  // From fuzz seed 59 (sarathi/reservation cell): near-side duplicates land
+  // on replicas that partition too, so a duplicate's client-visible
+  // completion can trail its raw one. The cancel pass used to judge the
+  // duplicate by its raw completion while the merge judged both attempts by
+  // client-visible completion: it cancelled the attempt the merge would have
+  // delivered, long before the winner it kept reached the client at its
+  // replica's partition heal. Under one rule a loser is cancelled only once
+  // the winner's completion is client-visible, so no cancel fires before a
+  // heal that the delivered completion waited for.
+  InvariantChecker checker;
+  Tracer tracer(true);
+  SchedulerConfig scheduler;
+  scheduler.policy = SchedulerPolicy::kSarathi;
+  scheduler.token_budget = 512;
+  scheduler.max_batch_size = 2;
+  scheduler.max_prefill_tokens = 512;
+  ClusterOptions options = FuzzCluster(scheduler, AllocatorKind::kReservation, 1264, 316);
+  options.replica.checker = &checker;
+  options.replica.tracer = &tracer;
+  options.faults.seed = 76;
+  options.faults.num_domains = 3;
+  options.faults.domain_mtbf_s = 10.729849007922368;
+  options.faults.domain_mttr_s = 2.2876744059216265;
+  options.faults.min_domain_outage_s = 0.5;
+  options.faults.domain_partition_fraction = 0.62729126095317167;
+  Trace trace = FuzzTrace({{0, 0.0, 53, 28},    {1, 0.11, 206, 42},  {2, 0.17, 62, 25},
+                           {3, 0.34, 14, 18},   {4, 0.56, 70, 22},   {5, 0.57, 224, 38},
+                           {6, 0.59, 208, 44},  {7, 0.59, 199, 17},  {8, 0.63, 36, 13},
+                           {9, 0.67, 28, 4},    {10, 0.68, 124, 41}, {11, 0.69, 84, 44},
+                           {12, 0.70, 78, 3},   {13, 0.76, 83, 10},  {14, 0.77, 5, 39},
+                           {15, 0.80, 246, 14}, {17, 0.87, 226, 8},  {18, 0.92, 256, 30}});
+
+  ClusterSimulator simulator(options);
+  SimResult result = simulator.Run(trace);
+  ASSERT_GT(result.partition_reconciled, 0);
+  std::vector<double> heals;
+  for (const auto& windows : simulator.partition_schedules()) {
+    for (const ReplicaOutage& window : windows) {
+      heals.push_back(window.up_s);
+    }
+  }
+  int cancels = 0;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.name != "hedge_cancel") {
+      continue;
+    }
+    ++cancels;
+    int64_t id = -1;
+    for (const TraceArg& arg : event.args) {
+      if (arg.key == "request") {
+        id = static_cast<int64_t>(arg.number);
+      }
+    }
+    auto it = std::find_if(result.requests.begin(), result.requests.end(),
+                           [&](const RequestMetrics& m) { return m.id == id; });
+    ASSERT_NE(it, result.requests.end()) << "request " << id;
+    ASSERT_TRUE(it->completed()) << "request " << id;
+    if (std::find(heals.begin(), heals.end(), it->completion_s) != heals.end()) {
+      EXPECT_GE(event.ts_s, it->completion_s)
+          << "request " << id << ": loser on replica " << event.pid
+          << " cancelled before the heal that delivered the winner";
+    }
+  }
+  EXPECT_GT(cancels, 0);
+  EXPECT_TRUE(checker.ok()) << checker.Report();
 }
 
 // ---------- Cluster: timeout-retries, breaker, slow-start ----------

@@ -15,6 +15,9 @@
 //
 //   sarathi_fuzz --seeds=1 --start=<failing seed>
 //
+// Every cluster cell also passes a result oracle: the router's hedge counters
+// must be consistent with each other and with the per-request hedge records.
+//
 // Each seed additionally performs a determinism check: one configuration is
 // simulated twice with identical inputs and the runs must produce
 // byte-identical request-metrics and aggregate telemetry CSVs.
@@ -136,6 +139,10 @@ struct FuzzCase {
   CascadeBreakerOptions cascade_breaker;
   SlowStartOptions slow_start;
 
+  // Cluster shard workers (ClusterOptions::jobs). Results are byte-identical
+  // at any value, so the draw only puts the sharded path under test.
+  int jobs = 1;
+
   std::string Summary() const;
 };
 
@@ -151,7 +158,7 @@ std::string FuzzCase::Summary() const {
       << ", model=" << deployment.model.name;
   if (cluster_mode) {
     out << ", cluster x" << num_replicas << " (" << RoutingPolicyName(routing)
-        << ", mtbf=" << faults.mtbf_s << ")";
+        << ", mtbf=" << faults.mtbf_s << ", jobs=" << jobs << ")";
     if (faults.any_degradation()) {
       out << ", gray (degrade-mtbf=" << faults.degrade_mtbf_s
           << ", failover=" << FailoverModeName(degraded_failover);
@@ -433,6 +440,11 @@ FuzzCase MakeCase(uint64_t seed) {
       fuzz_case.slow_start.stagger_s = rng.Uniform(0.25, 1.5);
     }
   }
+
+  // Cluster shard count, drawn after every other block (even for standalone
+  // cases, which --force-gray/--force-cascade may promote to clusters) so
+  // pre-existing seeds keep their cases byte-identical.
+  fuzz_case.jobs = static_cast<int>(rng.UniformInt(1, 4));
   return fuzz_case;
 }
 
@@ -467,8 +479,31 @@ double TraceHorizon(const Trace& trace) {
   return last + 60.0;
 }
 
-// Runs one matrix cell (policy x allocator) under the checker. Returns the
-// checker report on violation, empty string when clean.
+// Result oracle for a merged cluster result: counters the router reports
+// must agree with each other and with the per-request records. Returns one
+// line per disagreement, empty when consistent.
+std::string CheckClusterResult(const SimResult& result) {
+  std::ostringstream out;
+  int64_t request_hedges = 0;
+  for (const RequestMetrics& m : result.requests) request_hedges += m.hedges;
+  if (result.hedges_cancelled > result.hedges_issued) {
+    out << "result oracle: hedges_cancelled " << result.hedges_cancelled
+        << " exceeds hedges_issued " << result.hedges_issued << "\n";
+  }
+  if (result.hedges_won > result.hedges_issued) {
+    out << "result oracle: hedges_won " << result.hedges_won << " exceeds hedges_issued "
+        << result.hedges_issued << "\n";
+  }
+  if (request_hedges != result.hedges_issued) {
+    out << "result oracle: per-request hedges sum to " << request_hedges
+        << " but hedges_issued is " << result.hedges_issued << "\n";
+  }
+  return out.str();
+}
+
+// Runs one matrix cell (policy x allocator) under the checker, plus the
+// result oracle on cluster cells. Returns the report on violation, empty
+// string when clean.
 std::string RunCell(const FuzzCase& fuzz_case, SchedulerPolicy policy, AllocatorKind kind,
                     bool fatal) {
   InvariantChecker::Options checker_options;
@@ -478,6 +513,7 @@ std::string RunCell(const FuzzCase& fuzz_case, SchedulerPolicy policy, Allocator
   Trace trace =
       kind == AllocatorKind::kReservation ? StripSamples(fuzz_case.trace) : fuzz_case.trace;
 
+  std::string oracle;
   if (fuzz_case.cluster_mode) {
     ClusterOptions cluster;
     cluster.replica = MakeReplicaOptions(fuzz_case, policy, kind, &checker);
@@ -493,8 +529,9 @@ std::string RunCell(const FuzzCase& fuzz_case, SchedulerPolicy policy, Allocator
     cluster.timeout_retry_backoff_s = fuzz_case.timeout_retry_backoff_s;
     cluster.cascade = fuzz_case.cascade_breaker;
     cluster.slow_start = fuzz_case.slow_start;
+    cluster.jobs = fuzz_case.jobs;
     ClusterSimulator simulator(cluster);
-    simulator.Run(trace);
+    oracle = CheckClusterResult(simulator.Run(trace));
   } else {
     SimulatorOptions options = MakeReplicaOptions(fuzz_case, policy, kind, &checker);
     if (fuzz_case.faults.any_degradation()) {
@@ -517,8 +554,8 @@ std::string RunCell(const FuzzCase& fuzz_case, SchedulerPolicy policy, Allocator
     ReplicaSimulator simulator(options);
     simulator.Run(trace);
   }
-  if (checker.ok()) return "";
-  return checker.Report();
+  if (checker.ok()) return oracle;
+  return oracle + checker.Report();
 }
 
 // Serializes the telemetry a run produced into one comparable string.
@@ -564,6 +601,7 @@ DeterminismOutcome RunDeterminismCheck(const FuzzCase& fuzz_case, uint64_t seed)
   cluster.faults = fuzz_case.faults;
   cluster.degraded_failover = fuzz_case.degraded_failover;
   cluster.hedge_after_s = fuzz_case.hedge_after_s;
+  cluster.jobs = fuzz_case.jobs;
   if (cluster.faults.mtbf_s <= 0.0) {
     cluster.faults.seed = seed + 17;
     cluster.faults.mtbf_s = 8.0;
@@ -716,6 +754,9 @@ SeedOutcome RunSeed(uint64_t seed, bool fatal, bool force_gray, bool force_prefi
       fuzz_case.slow_start.stagger_s = 0.5;
     }
   }
+  // --fatal wants the failing run alone on the process; sharding never
+  // changes results, so serial replicas lose no coverage.
+  if (fatal) fuzz_case.jobs = 1;
   outcome.summary = fuzz_case.Summary();
 
   std::vector<AllocatorKind> kinds = {AllocatorKind::kPaged, AllocatorKind::kReservation};
