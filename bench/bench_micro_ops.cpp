@@ -5,12 +5,14 @@
 // reference model's forward pass bounds the value-domain test budget.
 
 #include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
 #include "src/engine/reference/tiny_model.h"
 #include "src/memory/block_manager.h"
+#include "src/memory/prefix_cache.h"
 #include "src/perfmodel/iteration_cost.h"
 #include "src/scheduler/sarathi_scheduler.h"
 #include "src/workload/dataset.h"
@@ -49,6 +51,49 @@ void BM_BlockManagerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BlockManagerChurn);
+
+// Decode appends on a KV pool that retained prefix chains have filled: every
+// block-boundary crossing must evict the least-recently-touched cached leaf.
+// A finished sequence's chain is retained in turn, so the pool stays full.
+void BM_PrefixCacheAppendUnderPressure(benchmark::State& state) {
+  constexpr int64_t kBlockSize = 16;
+  constexpr int64_t kChainTokens = 4 * kBlockSize;
+  constexpr int64_t kDecodeTokens = 64 * kBlockSize;
+  PagedBlockManager::Options options;
+  options.num_blocks = state.range(0);
+  options.block_size = kBlockSize;
+  options.watermark = 0.0;
+  PrefixCachingAllocator manager(options);
+  SeqId next_id = 0;
+  // Admits a new sequence whose stream starts with its own id, so no two
+  // chains share a node.
+  auto admit = [&](int64_t prompt, int64_t total) {
+    SeqId id = next_id++;
+    auto tokens = std::make_shared<std::vector<int32_t>>(static_cast<size_t>(total), 0);
+    (*tokens)[0] = static_cast<int32_t>(id);
+    manager.PinPrefix(id, tokens, prompt);
+    manager.Admit(id, prompt, total);
+    return id;
+  };
+  while (manager.free_blocks() >= kChainTokens / kBlockSize) {
+    manager.ReleaseFinished(admit(kChainTokens, kChainTokens));
+  }
+  SeqId decoding = admit(kBlockSize, kDecodeTokens);
+  for (auto _ : state) {
+    if (manager.SequenceTokens(decoding) == kDecodeTokens) {
+      manager.ReleaseFinished(decoding);
+      decoding = admit(kBlockSize, kDecodeTokens);
+    }
+    if (!manager.CanAppendToken(decoding)) {
+      state.SkipWithError("decode append starved behind retained cache");
+      break;
+    }
+    manager.AppendToken(decoding);
+  }
+  state.counters["evictions"] = static_cast<double>(manager.stats().evictions);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PrefixCacheAppendUnderPressure)->Arg(1 << 12)->Arg(1 << 14);
 
 void BM_SarathiSchedule(benchmark::State& state) {
   PagedBlockManager::Options options;

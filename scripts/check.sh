@@ -22,9 +22,10 @@ build/tools/sarathi_fuzz --seeds=100 --repro-out=build/fuzz-repro
 echo
 echo "== cascade smoke: correlated faults, partitions, metastable recovery =="
 build/tools/sarathi_fuzz --seeds=100 --force-cascade --repro-out=build/fuzz-repro
-# Parallel seeds must be byte-identical to serial ones, plain and with the
-# cascade dimension forced (the only one that reaches the race code).
-for force in "" --force-cascade; do
+# Parallel seeds must be byte-identical to serial ones, plain, with the
+# cascade dimension forced (the only one that reaches the race code), and with
+# the prefix cache forced (its eviction index).
+for force in "" --force-cascade --force-prefix; do
   build/tools/sarathi_fuzz --seeds=40 --jobs=1 $force \
     --fingerprint-out=build/fuzz-fp-serial.csv > build/fuzz-log-serial.txt
   build/tools/sarathi_fuzz --seeds=40 --jobs=2 $force \
@@ -34,6 +35,12 @@ for force in "" --force-cascade; do
 done
 cmake --build build -j --target bench_ext_cascade
 build/bench/bench_ext_cascade --quick --selfcheck --jobs=2
+
+echo
+echo "== prefix-cache smoke: radix cache in the allocator matrix, capacity + ledger =="
+build/tools/sarathi_fuzz --seeds=100 --force-prefix --repro-out=build/fuzz-repro
+cmake --build build -j --target bench_ext_prefix_cache
+build/bench/bench_ext_prefix_cache --quick --selfcheck --jobs=2
 
 echo
 echo "== cluster-scale smoke: sharded parallel engine + autoscaled megafleet =="

@@ -197,7 +197,7 @@ void PagedBlockManager::Fork(SeqId parent, SeqId child) {
   CHECK(!tables_.contains(child)) << "sequence " << child << " already admitted";
   SequenceState copy = it->second;
   for (int64_t block : copy.blocks) {
-    ++refcount_[static_cast<size_t>(block)];
+    AddBlockRef(block);
   }
   tables_.emplace(child, std::move(copy));
   NotifyKv(obs_, KvVerifyEvent::kFork, child);
@@ -301,6 +301,8 @@ void PagedBlockManager::ReleaseBlockRef(int64_t block) {
   CHECK_GT(count, 0);
   if (--count == 0) {
     free_list_.push_back(block);
+  } else if (count == 1) {
+    OnSoleReferenceChanged(block, /*sole=*/true);
   }
 }
 

@@ -117,8 +117,20 @@ class PagedBlockManager : public KvAllocator {
   std::optional<CowOp> MakeWritableAt(SequenceState& state, SeqId id, int64_t pos);
 
   int64_t AllocateBlock();
+  // Takes one more reference on an allocated block.
+  void AddBlockRef(int64_t block) {
+    if (++refcount_[static_cast<size_t>(block)] == 2) {
+      OnSoleReferenceChanged(block, /*sole=*/false);
+    }
+  }
   // Drops one reference; the block returns to the free list at zero.
   void ReleaseBlockRef(int64_t block);
+  // Called whenever a block's refcount crosses between 1 and 2, in either
+  // direction (`sole` is true when it drops to 1). An index layered over the
+  // pool tracks its reclaimable entries here instead of rescanning. Plain
+  // paging only crosses 1 <-> 2 through Fork and releases of shared blocks,
+  // never on a decode append to an exclusive block.
+  virtual void OnSoleReferenceChanged(int64_t /*block*/, bool /*sole*/) {}
   // Logical token position -> index into the sequence's block table.
   int64_t BlockIndexFor(int64_t pos) const;
   // Emits the blocks-in-use counter (when it changed) and an optional named

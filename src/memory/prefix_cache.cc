@@ -36,7 +36,8 @@ void NotifyKv(ObsHooks* obs, KvVerifyEvent event, SeqId id) {
 }  // namespace
 
 PrefixCachingAllocator::PrefixCachingAllocator(const Options& options)
-    : PagedBlockManager(options) {
+    : PagedBlockManager(options),
+      node_of_block_(static_cast<size_t>(options.num_blocks), nullptr) {
   CHECK_EQ(options.sliding_window, 0)
       << "prefix caching requires position-stable blocks; sliding-window "
          "models recycle block contents in place";
@@ -74,7 +75,7 @@ int64_t PrefixCachingAllocator::PinPrefix(
       break;
     }
     node = it->second.get();
-    ++refcount_[static_cast<size_t>(node->block)];  // Pin: eviction-proof.
+    AddBlockRef(node->block);  // Pin: eviction-proof.
     Touch(node);
     pin.nodes.push_back(node);
   }
@@ -96,77 +97,65 @@ int64_t PrefixCachingAllocator::PinnedTokens(SeqId id) const {
   return static_cast<int64_t>(it->second.nodes.size()) * options_.block_size;
 }
 
-bool PrefixCachingAllocator::HasEvictable(int64_t want) const {
-  if (want <= 0) {
-    return true;
+void PrefixCachingAllocator::Touch(Node* node) {
+  if (!IsEvictableLeaf(node)) {
+    node->stamp = ++stamp_counter_;
+    return;
   }
-  // Reclaimable nodes are exactly those with block refcount 1 (index-only):
-  // any sequence or pin referencing a node also references its ancestors, so
-  // refcount-1 subtrees contain no shared blocks. DFS with early exit.
-  int64_t found = 0;
-  std::vector<const Node*> stack{&root_};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    for (const auto& [key, child] : node->children) {
-      if (refcount_[static_cast<size_t>(child->block)] == 1 && ++found >= want) {
-        return true;
-      }
-      stack.push_back(child.get());
-    }
-  }
-  return false;
+  // The fresh stamp is the largest, so the node re-enters at the tail.
+  auto entry = evictable_leaves_.extract(node->stamp);
+  node->stamp = entry.key() = ++stamp_counter_;
+  evictable_leaves_.insert(evictable_leaves_.end(), std::move(entry));
 }
 
-int64_t PrefixCachingAllocator::evictable_blocks() const {
-  int64_t found = 0;
-  std::vector<const Node*> stack{&root_};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    for (const auto& [key, child] : node->children) {
-      if (refcount_[static_cast<size_t>(child->block)] == 1) {
-        ++found;
-      }
-      stack.push_back(child.get());
+void PrefixCachingAllocator::OnSoleReferenceChanged(int64_t block, bool sole) {
+  Node* node = node_of_block_[static_cast<size_t>(block)];
+  if (node == nullptr) {
+    return;  // Not cached: only the index's own blocks are reclaimable.
+  }
+  // Refcount 1 means only the index holds the block. Any sequence or pin
+  // referencing a node also references its ancestors, so refcount-1 subtrees
+  // contain no shared blocks and every refcount-1 node is reclaimable.
+  if (sole) {
+    ++sole_ref_nodes_;
+    if (node->children.empty()) {
+      evictable_leaves_.emplace(node->stamp, node);
+    }
+  } else {
+    --sole_ref_nodes_;
+    if (node->children.empty()) {
+      evictable_leaves_.erase(node->stamp);
     }
   }
-  return found;
 }
 
 bool PrefixCachingAllocator::EvictOne() {
   // LRU over reclaimable leaves. A refcount-1 interior node only becomes a
   // leaf after its (also refcount-1) descendants go, so chains a live
-  // sequence still maps are never broken.
-  Node* victim = nullptr;
-  std::vector<Node*> stack{&root_};
-  while (!stack.empty()) {
-    Node* node = stack.back();
-    stack.pop_back();
-    for (auto& [key, child] : node->children) {
-      if (child->children.empty() &&
-          refcount_[static_cast<size_t>(child->block)] == 1 &&
-          (victim == nullptr || child->stamp < victim->stamp)) {
-        victim = child.get();
-      }
-      stack.push_back(child.get());
-    }
-  }
-  if (victim == nullptr) {
+  // sequence still maps are never broken. Stamps are unique, so the set's
+  // minimum is the one least-recently-touched evictable leaf.
+  if (evictable_leaves_.empty()) {
     return false;
   }
+  Node* victim = evictable_leaves_.begin()->second;
+  evictable_leaves_.erase(evictable_leaves_.begin());
+  --sole_ref_nodes_;
+  node_of_block_[static_cast<size_t>(victim->block)] = nullptr;
   ReleaseBlockRef(victim->block);  // Refcount 1 -> 0: back on the free list.
   --cached_count_;
   ++stats_.evictions;
-  victim->parent->children.erase(victim->key);
+  Node* parent = victim->parent;
+  parent->children.erase(victim->key);
+  if (parent != &root_ && IsEvictableLeaf(parent)) {
+    evictable_leaves_.emplace(parent->stamp, parent);  // Keeps its older stamp.
+  }
   EmitKvObs("kv_prefix_evict", -1);
   return true;
 }
 
 bool PrefixCachingAllocator::CanAdmit(int64_t prompt_len, int64_t /*max_total_len*/) const {
   int64_t needed = BlocksForTokens(prompt_len);
-  int64_t shortfall = needed + WatermarkBlocks() - free_blocks();
-  return shortfall <= 0 || HasEvictable(shortfall);
+  return needed + WatermarkBlocks() - free_blocks() <= evictable_blocks();
 }
 
 bool PrefixCachingAllocator::CanAdmitSeq(SeqId id, int64_t prompt_len,
@@ -176,8 +165,7 @@ bool PrefixCachingAllocator::CanAdmitSeq(SeqId id, int64_t prompt_len,
   auto it = pins_.find(id);
   int64_t pinned = it == pins_.end() ? 0 : static_cast<int64_t>(it->second.nodes.size());
   int64_t fresh = BlocksForTokens(prompt_len) - pinned;
-  int64_t shortfall = fresh + WatermarkBlocks() - free_blocks();
-  return shortfall <= 0 || HasEvictable(shortfall);
+  return fresh + WatermarkBlocks() - free_blocks() <= evictable_blocks();
 }
 
 void PrefixCachingAllocator::Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) {
@@ -215,7 +203,7 @@ bool PrefixCachingAllocator::CanAppendToken(SeqId id) const {
   // Decode allocation must never starve behind retained cache: when the base
   // answer is no (no free block for growth or copy-on-write), one eviction
   // frees one.
-  return PagedBlockManager::CanAppendToken(id) || HasEvictable(1);
+  return PagedBlockManager::CanAppendToken(id) || evictable_blocks() > 0;
 }
 
 void PrefixCachingAllocator::AppendToken(SeqId id) {
@@ -275,12 +263,17 @@ void PrefixCachingAllocator::ReleaseFinished(SeqId id) {
       child->key = key;
       child->block = state.blocks[static_cast<size_t>(d)];
       child->chunk.assign(chunk, chunk + options_.block_size);
-      ++refcount_[static_cast<size_t>(child->block)];  // The index's reference.
+      // The index's reference. This sequence's table still holds both the
+      // new node's block and its parent's (the walk only extends our own
+      // chain), so neither is refcount-1: the eviction index needs no update
+      // until the Release below drops the table's references.
+      AddBlockRef(child->block);
       Touch(child.get());
       ++cached_count_;
       ++stats_.retained_blocks;
       stats_.peak_cached_blocks = std::max(stats_.peak_cached_blocks, cached_count_);
       Node* inserted = child.get();
+      node_of_block_[static_cast<size_t>(inserted->block)] = inserted;
       node->children.emplace(key, std::move(child));
       node = inserted;
     }
@@ -337,32 +330,6 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
       ++expected[static_cast<size_t>(block)];
     }
   }
-  int64_t nodes_seen = 0;
-  std::vector<bool> in_index(refcount_.size(), false);
-  std::vector<const Node*> stack{&root_};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    for (const auto& [key, child] : node->children) {
-      ++nodes_seen;
-      if (child->block < 0 || child->block >= options_.num_blocks) {
-        out << "cached node holds out-of-range block id " << child->block;
-        return out.str();
-      }
-      if (in_index[static_cast<size_t>(child->block)]) {
-        out << "block " << child->block << " cached by two index nodes";
-        return out.str();
-      }
-      in_index[static_cast<size_t>(child->block)] = true;
-      ++expected[static_cast<size_t>(child->block)];
-      stack.push_back(child.get());
-    }
-  }
-  if (nodes_seen != cached_count_) {
-    out << "index holds " << nodes_seen << " nodes but cached_count_ says "
-        << cached_count_;
-    return out.str();
-  }
   for (const auto& [id, pin] : pins_) {
     for (const Node* node : pin.nodes) {
       ++expected[static_cast<size_t>(node->block)];
@@ -380,8 +347,13 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
     }
     on_free_list[static_cast<size_t>(block)] = true;
   }
+  // The index's own references are read off the block -> node table, which
+  // AuditCache checks against the trie (every node, and nothing else, mapped).
   for (int64_t b = 0; b < options_.num_blocks; ++b) {
     auto i = static_cast<size_t>(b);
+    if (node_of_block_[i] != nullptr) {
+      ++expected[i];
+    }
     if (refcount_[i] != expected[i]) {
       out << "block " << b << ": refcount " << refcount_[i] << " but " << expected[i]
           << " references (tables + index + pins)"
@@ -403,11 +375,30 @@ std::string PrefixCachingAllocator::AuditCache() const {
   // list (the index's own reference), chunk arithmetic intact, and chains
   // unbroken — a child's block may never outlive its parent's, which
   // leaf-first eviction guarantees by construction and this audit re-checks.
+  // The same walk recounts the eviction index: refcount-1 nodes, evictable
+  // leaves, and the block -> node table entry of every node.
+  int64_t nodes = 0;
+  int64_t sole_ref = 0;
+  int64_t evictable_leaves = 0;
   std::vector<const Node*> stack{&root_};
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
     for (const auto& [key, child] : node->children) {
+      ++nodes;
+      if (child->block < 0 || child->block >= options_.num_blocks) {
+        out << "cached node holds out-of-range block id " << child->block;
+        return out.str();
+      }
+      if (node_of_block_[static_cast<size_t>(child->block)] != child.get()) {
+        out << "block -> node table does not map cached block " << child->block
+            << " to its node (missing, or the block is cached twice)";
+        return out.str();
+      }
+      if (refcount_[static_cast<size_t>(child->block)] == 1) {
+        ++sole_ref;
+        evictable_leaves += child->children.empty() ? 1 : 0;
+      }
       if (child->parent != node || child->key != key) {
         out << "cached node for block " << child->block << " has a broken parent link";
         return out.str();
@@ -433,6 +424,47 @@ std::string PrefixCachingAllocator::AuditCache() const {
       }
       stack.push_back(child.get());
     }
+  }
+  if (nodes != cached_count_) {
+    out << "index holds " << nodes << " nodes but cached_count_ says " << cached_count_;
+    return out.str();
+  }
+  if (sole_ref != sole_ref_nodes_) {
+    out << sole_ref << " cached nodes have refcount 1 but the eviction index counts "
+        << sole_ref_nodes_;
+    return out.str();
+  }
+  auto mapped = static_cast<int64_t>(
+      std::count_if(node_of_block_.begin(), node_of_block_.end(),
+                    [](const Node* node) { return node != nullptr; }));
+  if (mapped != nodes) {
+    out << "block -> node table maps " << mapped << " blocks but the index caches " << nodes;
+    return out.str();
+  }
+  // Every set entry is a live evictable leaf under its own stamp; with the
+  // size equal to the recount, the set holds exactly the evictable leaves.
+  for (const auto& [stamp, node] : evictable_leaves_) {
+    if (node_of_block_[static_cast<size_t>(node->block)] != node) {
+      out << "eviction set holds a node for block " << node->block
+          << " that the index no longer caches";
+      return out.str();
+    }
+    if (node->stamp != stamp) {
+      out << "eviction set keys block " << node->block << " by stamp " << stamp
+          << " but its stamp is " << node->stamp;
+      return out.str();
+    }
+    if (!IsEvictableLeaf(node)) {
+      out << "eviction set holds block " << node->block << " (refcount "
+          << refcount_[static_cast<size_t>(node->block)] << ", "
+          << node->children.size() << " children), which is not an evictable leaf";
+      return out.str();
+    }
+  }
+  if (static_cast<int64_t>(evictable_leaves_.size()) != evictable_leaves) {
+    out << "eviction set holds " << evictable_leaves_.size() << " leaves but "
+        << evictable_leaves << " cached leaves have refcount 1";
+    return out.str();
   }
   for (const auto& [id, pin] : pins_) {
     if (pin.nodes.empty()) {

@@ -26,6 +26,16 @@
 // blocks as free-after-eviction, so decode allocation never starves behind
 // retained cache (the watermark check applies to the post-eviction pool).
 //
+// The eviction state is kept incrementally, never recomputed by walking the
+// trie: a block -> node table, a count of refcount-1 nodes, and an ordered
+// set of the evictable leaves keyed by their unique LRU stamps. Every
+// refcount crossing between 1 and 2 (pin, retention, fork, release,
+// copy-on-write, dropped pin) updates them, and so does an eviction that
+// turns the victim's parent into an evictable leaf (retention never inserts
+// under an evictable leaf: it only extends the finishing sequence's own
+// chain). The reclaimable test is O(1); an eviction or a touch is O(log n)
+// in the number of evictable leaves.
+//
 // Sliding-window attention recycles block contents in place, which destroys
 // the position->block identity the index depends on; construction therefore
 // requires sliding_window == 0 (the simulator falls back to the plain paged
@@ -97,7 +107,7 @@ class PrefixCachingAllocator final : public PagedBlockManager {
   const CacheStats& stats() const { return stats_; }
   int64_t cached_blocks() const { return cached_count_; }
   // Reclaimable right now: cached nodes no sequence or pin references.
-  int64_t evictable_blocks() const;
+  int64_t evictable_blocks() const { return sole_ref_nodes_; }
 
  private:
   struct Node {
@@ -114,16 +124,25 @@ class PrefixCachingAllocator final : public PagedBlockManager {
     std::vector<Node*> nodes;  // Matched chain, root-adjacent first.
   };
 
-  // True when at least `want` blocks are reclaimable (early-exit count).
-  bool HasEvictable(int64_t want) const;
   // Evicts the least-recently-touched reclaimable leaf; false if none.
   bool EvictOne();
-  void Touch(Node* node) { node->stamp = ++stamp_counter_; }
+  // Gives the node a fresh LRU stamp, re-keying it if it is an evictable leaf.
+  void Touch(Node* node);
+  bool IsEvictableLeaf(const Node* node) const {
+    return node->children.empty() && refcount_[static_cast<size_t>(node->block)] == 1;
+  }
+  void OnSoleReferenceChanged(int64_t block, bool sole) override;
   int64_t WatermarkBlocks() const;
 
   Node root_;
   int64_t cached_count_ = 0;
   uint64_t stamp_counter_ = 0;
+  // Eviction index: the node caching each block (null when uncached), the
+  // number of cached nodes whose block refcount is 1, and those of them
+  // without children ordered by stamp (begin() is the LRU victim).
+  std::vector<Node*> node_of_block_;
+  int64_t sole_ref_nodes_ = 0;
+  std::map<uint64_t, Node*> evictable_leaves_;
   CacheStats stats_;
   std::unordered_map<SeqId, Pin> pins_;
   // Token ids per known sequence, kept until the sequence is terminal so

@@ -472,5 +472,82 @@ TEST(PrefixCachePropertyTest, EvictionUnderPressureFreesRetainedBlocks) {
   EXPECT_EQ(manager.AuditInvariants(), "");
 }
 
+// One-block token stream whose every id is `value` (distinct values give
+// distinct chains).
+std::shared_ptr<const std::vector<int32_t>> OneBlockStream(int32_t value) {
+  return std::make_shared<std::vector<int32_t>>(kBlockSize, value);
+}
+
+// Pins, admits and finishes a one-block stream, so the index retains it as a
+// one-node chain. Returns the chain's physical block.
+int64_t RetainOneBlock(PrefixCachingAllocator& manager, SeqId id, int32_t value) {
+  EXPECT_EQ(manager.PinPrefix(id, OneBlockStream(value), kBlockSize), 0);
+  manager.Admit(id, kBlockSize, kBlockSize);
+  int64_t block = manager.BlockTable(id)[0];
+  manager.ReleaseFinished(id);
+  return block;
+}
+
+// Admits an anonymous two-block request into a pool with exactly one free
+// block, which forces exactly one eviction.
+void ForceOneEviction(PrefixCachingAllocator& manager, SeqId id) {
+  ASSERT_EQ(manager.free_blocks(), 1);
+  int64_t evictions_before = manager.stats().evictions;
+  ASSERT_EQ(manager.PinPrefix(id, nullptr, 2 * kBlockSize), 0);
+  manager.Admit(id, 2 * kBlockSize, 2 * kBlockSize);
+  EXPECT_EQ(manager.stats().evictions, evictions_before + 1);
+  EXPECT_EQ(manager.AuditInvariants(), "");
+  EXPECT_EQ(manager.AuditCache(), "");
+}
+
+// Directed: the victim is the evictable leaf with the oldest LRU stamp. (a) A
+// re-pin touches a chain, so it outlives chains retained after it. (b) A
+// chain that only becomes evictable late (a fork child held its block) keeps
+// the stamp of its last touch, so it goes before a chain touched later; an
+// LRU that appends re-entering leaves at the tail would evict the wrong one.
+TEST(PrefixCachePropertyTest, EvictsLeastRecentlyTouchedLeafFirst) {
+  PagedBlockManager::Options options;
+  options.block_size = kBlockSize;
+  options.watermark = 0.0;
+  {
+    options.num_blocks = 4;
+    PrefixCachingAllocator manager(options);
+    int64_t a = RetainOneBlock(manager, 0, 1);
+    int64_t b = RetainOneBlock(manager, 1, 2);
+    int64_t c = RetainOneBlock(manager, 2, 3);
+    ASSERT_EQ(manager.evictable_blocks(), 3);
+    // Re-pin A (its block plus one prompt token, so the block matches), then
+    // drop the pin: A is now the most recently touched chain.
+    auto a_longer = std::make_shared<std::vector<int32_t>>(kBlockSize + 1, 1);
+    ASSERT_EQ(manager.PinPrefix(3, a_longer, kBlockSize + 1), kBlockSize);
+    EXPECT_EQ(manager.evictable_blocks(), 2);
+    manager.OnRequestDropped(3);
+    EXPECT_EQ(manager.evictable_blocks(), 3);
+    ForceOneEviction(manager, 4);
+    EXPECT_EQ(manager.BlockTable(4)[0], b) << "B's block went to the new request";
+    EXPECT_EQ(manager.BlockRefCount(a), 1);
+    EXPECT_EQ(manager.BlockRefCount(c), 1);
+    EXPECT_EQ(manager.cached_blocks(), 2);
+  }
+  {
+    options.num_blocks = 3;
+    PrefixCachingAllocator manager(options);
+    ASSERT_EQ(manager.PinPrefix(0, OneBlockStream(1), kBlockSize), 0);
+    manager.Admit(0, kBlockSize, kBlockSize);
+    int64_t x = manager.BlockTable(0)[0];
+    manager.Fork(0, 1);
+    manager.ReleaseFinished(0);  // X retained; the child still maps it.
+    EXPECT_EQ(manager.evictable_blocks(), 0);
+    int64_t y = RetainOneBlock(manager, 2, 2);
+    EXPECT_EQ(manager.evictable_blocks(), 1);
+    manager.Release(1);  // X becomes evictable with its older stamp.
+    EXPECT_EQ(manager.evictable_blocks(), 2);
+    ForceOneEviction(manager, 3);
+    EXPECT_EQ(manager.BlockTable(3)[0], x) << "X's block went to the new request";
+    EXPECT_EQ(manager.BlockRefCount(y), 1);
+    EXPECT_EQ(manager.cached_blocks(), 1);
+  }
+}
+
 }  // namespace
 }  // namespace sarathi
