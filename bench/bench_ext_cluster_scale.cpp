@@ -9,7 +9,9 @@
 //               invariant checker and must produce byte-identical telemetry
 //               (results_match, enforced unconditionally); the speedup
 //               target (>= 3x at 8 workers) is only judged on hosts with at
-//               least 4 cores ("checked" records whether it was).
+//               least 4 cores ("checked" records whether it was). The
+//               checker-on runs are timed too (checked_serial_s and
+//               checked_parallel_s), next to the checker-off timings.
 //   megafleet — a 1000-replica fleet ceiling serving a full diurnal day of
 //               >= 1M requests under the metrics-driven autoscaler. The
 //               point is absolute wall clock: a fleet-day simulates in
@@ -123,10 +125,19 @@ int main(int argc, char** argv) {
     return simulator.Run(scale_trace);
   };
 
+  // Times one checker-on run and keeps only its fingerprint.
+  auto run_checked = [&](int run_jobs, InvariantChecker* checker, std::string* print) {
+    SimResult result;
+    double seconds = WallS([&] { result = run_fleet(run_jobs, checker); });
+    *print = Fingerprint(result);
+    return seconds;
+  };
   InvariantChecker serial_checker;
   InvariantChecker parallel_checker;
-  std::string serial_print = Fingerprint(run_fleet(1, &serial_checker));
-  std::string parallel_print = Fingerprint(run_fleet(resolved_jobs, &parallel_checker));
+  std::string serial_print;
+  std::string parallel_print;
+  double checked_serial_s = run_checked(1, &serial_checker, &serial_print);
+  double checked_parallel_s = run_checked(resolved_jobs, &parallel_checker, &parallel_print);
   bool results_match = serial_print == parallel_print;
   bool checker_clean = serial_checker.ok() && parallel_checker.ok() &&
                        parallel_checker.iterations_checked() > 0;
@@ -146,7 +157,9 @@ int main(int argc, char** argv) {
             << Table::Num(speedup, 2) << "x "
             << (speedup_checked ? "(target 3x)" : "(target 3x skipped: too few cores)")
             << (results_match ? "" : "  RESULTS DIVERGED")
-            << (checker_clean ? "" : "  CHECKER VIOLATIONS") << "\n";
+            << (checker_clean ? "" : "  CHECKER VIOLATIONS") << "\n"
+            << "  checker on: --jobs=1 " << Table::Num(checked_serial_s, 2) << " s, --jobs="
+            << resolved_jobs << " " << Table::Num(checked_parallel_s, 2) << " s\n";
 
   // ---- megafleet: a 1000-replica diurnal day under the autoscaler ----
   const int mega_replicas = quick ? 200 : 1000;
@@ -188,7 +201,9 @@ int main(int argc, char** argv) {
       << "  \"scale\": {\"replicas\": " << scale_replicas
       << ", \"requests\": " << scale_requests << ", \"jobs\": " << resolved_jobs
       << ", \"serial_s\": " << serial_s << ", \"parallel_s\": " << parallel_s
-      << ", \"speedup\": " << speedup << ", \"target\": 3.0, \"checked\": "
+      << ", \"speedup\": " << speedup << ", \"checked_serial_s\": " << checked_serial_s
+      << ", \"checked_parallel_s\": " << checked_parallel_s
+      << ", \"target\": 3.0, \"checked\": "
       << (speedup_checked ? "true" : "false") << ", \"pass\": "
       << (speedup_pass ? "true" : "false") << ", \"results_match\": "
       << (results_match ? "true" : "false") << ", \"checker_clean\": "

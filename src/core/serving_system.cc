@@ -95,12 +95,13 @@ SimulatorOptions ServingSystem::MakeSimOptions(bool record_iterations) const {
 
 SimResult ServingSystem::Serve(const Trace& trace, bool record_iterations, Tracer* tracer,
                                MetricsRegistry* metrics, FlightRecorder* flight,
-                               SloMonitor* slo) const {
+                               SloMonitor* slo, InvariantChecker* checker) const {
   SimulatorOptions options = MakeSimOptions(record_iterations);
   options.tracer = tracer;
   options.metrics = metrics;
   options.flight = flight;
   options.slo = slo;
+  options.checker = checker;
   ReplicaSimulator simulator(options);
   return simulator.Run(trace);
 }

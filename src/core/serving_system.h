@@ -55,11 +55,13 @@ class ServingSystem {
   // Serves the trace on the simulated replica. Optional observability sinks
   // (any may be null): the tracer collects request lifecycle spans and
   // iteration slices, the registry windowed time series, the flight recorder
-  // a ring of recent events (auto-dumped on triggers), and the SLO monitor
-  // burn-rate alerts fed live from the run.
+  // a ring of recent events (auto-dumped on triggers), the SLO monitor
+  // burn-rate alerts fed live from the run, and the invariant checker
+  // violations of the paper's guarantees.
   SimResult Serve(const Trace& trace, bool record_iterations = false,
                   Tracer* tracer = nullptr, MetricsRegistry* metrics = nullptr,
-                  FlightRecorder* flight = nullptr, SloMonitor* slo = nullptr) const;
+                  FlightRecorder* flight = nullptr, SloMonitor* slo = nullptr,
+                  InvariantChecker* checker = nullptr) const;
 
   // SLO thresholds for this deployment (Table 3 derivation).
   SloSpec Slo() const;

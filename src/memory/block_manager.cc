@@ -23,6 +23,12 @@ void NotifyKv(ObsHooks* obs, KvVerifyEvent event, SeqId id) {
 
 }  // namespace
 
+void PagedBlockManager::NotifyBlockRef(int64_t block) const {
+  if (obs_ != nullptr && obs_->verify != nullptr) {
+    obs_->verify->OnKvBlockRef(block);
+  }
+}
+
 void PagedBlockManager::EmitKvObs(const char* event, SeqId id) {
   if (obs_ == nullptr) {
     return;
@@ -291,6 +297,7 @@ int64_t PagedBlockManager::AllocateBlock() {
   free_list_.pop_back();
   CHECK_EQ(refcount_[static_cast<size_t>(block)], 0);
   refcount_[static_cast<size_t>(block)] = 1;
+  NotifyBlockRef(block);
   return block;
 }
 
@@ -304,6 +311,7 @@ void PagedBlockManager::ReleaseBlockRef(int64_t block) {
   } else if (count == 1) {
     OnSoleReferenceChanged(block, /*sole=*/true);
   }
+  NotifyBlockRef(block);
 }
 
 ReservationAllocator::ReservationAllocator(int64_t capacity_tokens, int64_t max_seq_len)

@@ -83,6 +83,10 @@ class PagedBlockManager : public KvAllocator {
   std::vector<std::pair<SeqId, CowOp>> TakePendingCows();
   // Reference count of a physical block (diagnostics/tests).
   int32_t BlockRefCount(int64_t block) const;
+  // References on `block` held outside every sequence's table: 0 for plain
+  // paging; the index's own reference plus pending pins for the prefix cache.
+  // A consistent pool has BlockRefCount == table references + CacheRefs.
+  virtual int32_t CacheRefs(int64_t /*block*/) const { return 0; }
 
   // Blocks needed to hold `tokens` tokens (after window clamping).
   int64_t BlocksForTokens(int64_t tokens) const;
@@ -122,7 +126,12 @@ class PagedBlockManager : public KvAllocator {
     if (++refcount_[static_cast<size_t>(block)] == 2) {
       OnSoleReferenceChanged(block, /*sole=*/false);
     }
+    if (obs_ != nullptr) {
+      NotifyBlockRef(block);
+    }
   }
+  // Reports a refcount change of `block` to an attached verify hook.
+  void NotifyBlockRef(int64_t block) const;
   // Drops one reference; the block returns to the free list at zero.
   void ReleaseBlockRef(int64_t block);
   // Called whenever a block's refcount crosses between 1 and 2, in either

@@ -93,7 +93,10 @@ class KvAllocator {
   // once (free list xor reference from a table), refcounts consistent,
   // per-sequence token/block arithmetic intact. Returns an empty string when
   // consistent, else a human-readable description of the first inconsistency
-  // found. O(capacity) — meant for tests and fuzzing, not the serving path.
+  // found. O(capacity), so not for the serving path: the invariant checker
+  // runs it every InvariantChecker::kFullAuditInterval-th checked iteration
+  // and at end of run, and per batch audits only the blocks the batch
+  // touched.
   virtual std::string AuditInvariants() const = 0;
 
   // Prefix-cache structural self-audit: every cached block referenced exactly

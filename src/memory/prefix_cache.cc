@@ -76,6 +76,7 @@ int64_t PrefixCachingAllocator::PinPrefix(
     }
     node = it->second.get();
     AddBlockRef(node->block);  // Pin: eviction-proof.
+    ++node->pins;
     Touch(node);
     pin.nodes.push_back(node);
   }
@@ -188,6 +189,7 @@ void PrefixCachingAllocator::Admit(SeqId id, int64_t prompt_len, int64_t max_tot
       static_cast<size_t>(std::max(needed, BlocksForTokens(max_total_len))));
   // The pin's extra reference becomes the table's reference: no net change.
   for (Node* node : matched) {
+    --node->pins;
     state.blocks.push_back(node->block);
   }
   for (int64_t i = 0; i < fresh; ++i) {
@@ -290,6 +292,7 @@ void PrefixCachingAllocator::OnRequestDropped(SeqId id) {
   if (it != pins_.end()) {
     // The index still holds its own reference, so the count never reaches 0.
     for (Node* node : it->second.nodes) {
+      --node->pins;
       ReleaseBlockRef(node->block);
     }
     pins_.erase(it);
@@ -330,9 +333,11 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
       ++expected[static_cast<size_t>(block)];
     }
   }
+  std::vector<int32_t> pinned(refcount_.size(), 0);
   for (const auto& [id, pin] : pins_) {
     for (const Node* node : pin.nodes) {
       ++expected[static_cast<size_t>(node->block)];
+      ++pinned[static_cast<size_t>(node->block)];
     }
   }
   std::vector<bool> on_free_list(refcount_.size(), false);
@@ -351,8 +356,16 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
   // AuditCache checks against the trie (every node, and nothing else, mapped).
   for (int64_t b = 0; b < options_.num_blocks; ++b) {
     auto i = static_cast<size_t>(b);
-    if (node_of_block_[i] != nullptr) {
+    const Node* node = node_of_block_[i];
+    if (node != nullptr) {
       ++expected[i];
+    }
+    // The per-node pin counts back CacheRefs, which the checker's per-batch
+    // audit trusts; recount them from the pins themselves.
+    if ((node == nullptr ? 0 : node->pins) != pinned[i]) {
+      out << "block " << b << ": node counts " << (node == nullptr ? 0 : node->pins)
+          << " pins but " << pinned[i] << " pins hold it";
+      return out.str();
     }
     if (refcount_[i] != expected[i]) {
       out << "block " << b << ": refcount " << refcount_[i] << " but " << expected[i]
@@ -367,6 +380,11 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
     }
   }
   return "";
+}
+
+int32_t PrefixCachingAllocator::CacheRefs(int64_t block) const {
+  const Node* node = node_of_block_[static_cast<size_t>(block)];
+  return node == nullptr ? 0 : 1 + node->pins;
 }
 
 std::string PrefixCachingAllocator::AuditCache() const {

@@ -96,6 +96,7 @@ class PrefixCachingAllocator final : public PagedBlockManager {
   int64_t cached_units() const override { return cached_count_; }
   std::string AuditInvariants() const override;
   std::string AuditCache() const override;
+  int32_t CacheRefs(int64_t block) const override;
 
   // Evicts every reclaimable node until the index only holds blocks live
   // sequences still share (normally: until empty). The end-of-run zero-leak
@@ -116,6 +117,7 @@ class PrefixCachingAllocator final : public PagedBlockManager {
     int64_t block = -1;   // Physical block held (one index reference).
     std::vector<int32_t> chunk;  // The block_size token ids this node covers.
     uint64_t stamp = 0;   // LRU: last touch tick (unique per touch).
+    int32_t pins = 0;     // Pending pins holding a reference on `block`.
     // Ordered by hash for deterministic traversal/eviction.
     std::map<uint64_t, std::unique_ptr<Node>> children;
   };

@@ -83,6 +83,11 @@ class VerifyHook {
 
   virtual void OnSchedulerEvent(SchedVerifyEvent event, const RequestState* request) = 0;
   virtual void OnKvEvent(KvVerifyEvent event, int64_t seq_id) = 0;
+  // A physical KV block's reference count changed (allocation, an added
+  // reference, or a dropped one). Paged allocators emit it for every change,
+  // including the prefix cache's pins, retention and eviction, which touch no
+  // sequence's table, so a checker can audit exactly the blocks that moved.
+  virtual void OnKvBlockRef(int64_t /*block*/) {}
 };
 
 }  // namespace sarathi

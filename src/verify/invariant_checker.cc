@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/memory/block_manager.h"
 #include "src/scheduler/request_state.h"
 
 namespace sarathi {
@@ -173,12 +174,119 @@ void InvariantChecker::BeginRun(const Scheduler* scheduler, const KvAllocator* a
   any_scheduled_ = false;
   any_applied_ = false;
   shadows_.clear();
-  live_kv_.clear();
+  waiting_batch_.clear();
   enqueue_counter_ = 0;
+  live_kv_.clear();
+  // The mirror starts from an empty pool: the driver attaches the checker to
+  // a fresh allocator.
+  paged_ = dynamic_cast<const PagedBlockManager*>(allocator);
+  auto blocks = static_cast<size_t>(paged_ == nullptr ? 0 : paged_->num_blocks());
+  table_refs_.assign(blocks, 0);
+  touched_.assign(blocks, 0);
+  referenced_.assign(blocks, 0);
+  touched_blocks_.clear();
+  referenced_blocks_ = 0;
   ++runs_;
 }
 
+void InvariantChecker::TouchBlock(int64_t block) {
+  auto i = static_cast<size_t>(block);
+  if (touched_[i] == 0) {
+    touched_[i] = 1;
+    touched_blocks_.push_back(block);
+  }
+}
+
+void InvariantChecker::OnKvBlockRef(int64_t block) {
+  if (InPool(block)) {
+    TouchBlock(block);
+  }
+}
+
+void InvariantChecker::SyncTable(int64_t id, std::vector<int64_t>& mirror, size_t from) {
+  const std::vector<int64_t>& table = paged_->BlockTable(id);
+  int64_t tokens = paged_->SequenceTokens(id);
+  int64_t needed = paged_->BlocksForTokens(tokens);
+  if (static_cast<int64_t>(table.size()) != needed) {
+    std::ostringstream out;
+    out << "seq " << id << ": " << tokens << " tokens need " << needed
+        << " blocks but the table holds " << table.size();
+    AddViolation(Invariant::kKvConservation, id, out.str());
+  }
+  // Entries past the old mirror start as "no block", so growth adds
+  // references and shrinkage drops them.
+  mirror.resize(std::max(table.size(), mirror.size()), -1);
+  for (size_t i = std::min(from, mirror.size()); i < mirror.size(); ++i) {
+    int64_t new_block = i < table.size() ? table[i] : -1;
+    if (i < table.size() && !InPool(new_block)) {
+      std::ostringstream out;
+      out << "seq " << id << ": block id " << new_block << " out of range [0, "
+          << table_refs_.size() << ")";
+      AddViolation(Invariant::kKvConservation, id, out.str());
+    }
+    int64_t old_block = mirror[i];
+    if (old_block == new_block) {
+      continue;
+    }
+    mirror[i] = new_block;
+    if (InPool(old_block)) {
+      --table_refs_[static_cast<size_t>(old_block)];
+      TouchBlock(old_block);
+    }
+    if (InPool(new_block)) {
+      ++table_refs_[static_cast<size_t>(new_block)];
+      TouchBlock(new_block);
+    }
+  }
+  mirror.resize(table.size());
+}
+
 void InvariantChecker::AuditKv(const char* where) {
+  if (paged_ != nullptr) {
+    // Every block whose refcount or mirrored table references moved since the
+    // last audit point: its refcount must equal the references the mirror
+    // and the allocator's cache account for.
+    for (int64_t block : touched_blocks_) {
+      auto i = static_cast<size_t>(block);
+      touched_[i] = 0;
+      int32_t refcount = paged_->BlockRefCount(block);
+      int32_t cache_refs = paged_->CacheRefs(block);
+      if (refcount != table_refs_[i] + cache_refs) {
+        std::ostringstream out;
+        out << "after " << where << ": block " << block << ": refcount " << refcount
+            << " but " << table_refs_[i] + cache_refs << " references (" << table_refs_[i]
+            << " table + " << cache_refs << " index/pin)"
+            << (table_refs_[i] + cache_refs == 0 ? " (leaked block)" : "");
+        AddViolation(Invariant::kKvConservation, -1, out.str());
+      }
+      uint8_t referenced = refcount > 0 ? 1 : 0;
+      referenced_blocks_ += referenced - referenced_[i];
+      referenced_[i] = referenced;
+    }
+    touched_blocks_.clear();
+    if (referenced_blocks_ + paged_->free_blocks() != paged_->num_blocks()) {
+      std::ostringstream out;
+      out << "after " << where << ": " << referenced_blocks_ << " referenced + "
+          << paged_->free_blocks() << " free blocks != " << paged_->num_blocks() << " total";
+      AddViolation(Invariant::kKvConservation, -1, out.str());
+    }
+  } else if (allocator_->used_units() > allocator_->total_units()) {
+    std::ostringstream out;
+    out << "after " << where << ": " << allocator_->used_units() << " units used of "
+        << allocator_->total_units();
+    AddViolation(Invariant::kKvConservation, -1, out.str());
+  }
+  int64_t observed = allocator_->num_sequences();
+  auto expected = static_cast<int64_t>(live_kv_.size());
+  if (observed != expected) {
+    std::ostringstream out;
+    out << "after " << where << ": allocator holds " << observed << " sequences but "
+        << expected << " were admitted/forked and not released";
+    AddViolation(Invariant::kKvConservation, -1, out.str());
+  }
+}
+
+void InvariantChecker::AuditKvFull(const char* where) {
   std::string audit = allocator_->AuditInvariants();
   if (!audit.empty()) {
     AddViolation(Invariant::kKvConservation, -1,
@@ -192,29 +300,15 @@ void InvariantChecker::AuditKv(const char* where) {
     AddViolation(Invariant::kPrefixCache, -1,
                  std::string("prefix-cache audit failed after ") + where + ": " + cache_audit);
   }
-  int64_t observed = allocator_->num_sequences();
-  auto expected = static_cast<int64_t>(live_kv_.size());
-  if (observed != expected) {
-    std::ostringstream out;
-    out << "after " << where << ": allocator holds " << observed << " sequences but "
-        << expected << " were admitted/forked and not released";
-    AddViolation(Invariant::kKvConservation, -1, out.str());
-  }
 }
 
 void InvariantChecker::CheckBatchSanity(const ScheduledBatch& batch) {
-  std::unordered_set<const RequestState*> seen;
   for (const auto& item : batch.items) {
     if (item.request == nullptr) {
       AddViolation(Invariant::kBatchSanity, -1, "batch item with null request");
       continue;
     }
     const RequestState* request = item.request;
-    if (!seen.insert(request).second) {
-      AddViolation(Invariant::kBatchSanity, request->id(),
-                   "request appears twice in one batch");
-      continue;
-    }
     auto it = shadows_.find(request);
     if (it == shadows_.end()) {
       AddViolation(Invariant::kBatchSanity, request->id(),
@@ -222,6 +316,12 @@ void InvariantChecker::CheckBatchSanity(const ScheduledBatch& batch) {
       continue;
     }
     Shadow& shadow = it->second;
+    if (shadow.scheduled_iteration == iteration_) {
+      AddViolation(Invariant::kBatchSanity, request->id(),
+                   "request appears twice in one batch");
+      continue;
+    }
+    shadow.scheduled_iteration = iteration_;
     if (shadow.closed) {
       AddViolation(Invariant::kBatchSanity, request->id(),
                    "scheduled after finishing or aborting");
@@ -282,15 +382,13 @@ void InvariantChecker::CheckStallFree(const ScheduledBatch& batch) {
   if (allocator_->total_units() - allocator_->used_units() <= 0) {
     return;
   }
-  std::unordered_set<const RequestState*> in_batch;
-  for (const auto& item : batch.items) {
-    in_batch.insert(item.request);
-  }
   for (const RequestState* request : scheduler_->running()) {
     if (request->locked() || !request->prefill_complete() || request->finished()) {
       continue;
     }
-    if (!in_batch.contains(request)) {
+    // CheckBatchSanity stamped every shadow this batch carries.
+    auto it = shadows_.find(request);
+    if (it == shadows_.end() || it->second.scheduled_iteration != iteration_) {
       std::ostringstream out;
       out << "running decode-ready request skipped while the batch carries "
           << batch.NumPrefillTokens() << " prefill tokens, "
@@ -318,6 +416,9 @@ void InvariantChecker::OnBatchScheduled(const ScheduledBatch& batch, double now_
   CheckTokenBudget(batch);
   CheckStallFree(batch);
   AuditKv("schedule");
+  if (iteration_ % kFullAuditInterval == 0) {
+    AuditKvFull("schedule");
+  }
 }
 
 void InvariantChecker::OnBatchApplied(const ScheduledBatch& batch, double exit_s) {
@@ -437,6 +538,7 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
       shadow.arrival_s = request->arrival_time_s();
       shadow.waiting = true;
       shadow.enqueue_seq = ++enqueue_counter_;
+      IndexWaiting(shadow);
       break;
     }
     case SchedVerifyEvent::kAdmit: {
@@ -450,6 +552,7 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
         AddViolation(Invariant::kBatchSanity, id, "admitted after finishing or aborting");
       }
       shadow.waiting = false;
+      IndexWaiting(shadow);
       CheckNoStarvation(request, shadow);
       break;
     }
@@ -466,6 +569,7 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
       shadow.batch_lane = request->qos() == QosClass::kBatch;
       shadow.arrival_s = request->arrival_time_s();
       shadow.waiting = false;
+      IndexWaiting(shadow);
       if (!request->prefill_complete()) {
         AddViolation(Invariant::kBatchSanity, id, "adopted with prefill incomplete");
       }
@@ -486,6 +590,7 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
       shadow.batch_lane = request->qos() == QosClass::kBatch;
       shadow.arrival_s = request->arrival_time_s();
       shadow.waiting = false;
+      IndexWaiting(shadow);
       if (!request->prefill_complete()) {
         AddViolation(Invariant::kMigrationConservation, id,
                      "migrated request adopted with prefill incomplete — the transfer "
@@ -536,6 +641,7 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
       // recompute; it just forfeits the no-recompute property going forward.
       shadow.migrated_in = false;
       shadow.waiting = true;  // Back at the queue front for re-admission.
+      IndexWaiting(shadow);
       break;
     }
     case SchedVerifyEvent::kAbort: {
@@ -549,6 +655,7 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
       }
       it->second.closed = true;
       it->second.waiting = false;
+      IndexWaiting(it->second);
       // KV-clean abort: by the time the scheduler reports an abort (overload
       // shed, CoDel drop, timeout, drain), the request's KV must already be
       // released — the per-request form of the end-of-run zero-leak gate.
@@ -573,8 +680,20 @@ void InvariantChecker::OnSchedulerEvent(SchedVerifyEvent event, const RequestSta
       }
       it->second.closed = true;
       it->second.waiting = false;
+      IndexWaiting(it->second);
       break;
     }
+  }
+}
+
+void InvariantChecker::IndexWaiting(Shadow& shadow) {
+  if (shadow.indexed) {
+    waiting_batch_.erase(shadow.index_it);
+    shadow.indexed = false;
+  }
+  if (shadow.waiting && shadow.batch_lane && !shadow.closed) {
+    shadow.index_it = waiting_batch_.emplace(shadow.arrival_s, &shadow);
+    shadow.indexed = true;
   }
 }
 
@@ -586,21 +705,24 @@ void InvariantChecker::CheckNoStarvation(const RequestState* request, const Shad
   if (request->preemptions() > 0) {
     return;  // Preemption re-queues at the front; re-admission is exempt.
   }
-  for (const auto& [other, s] : shadows_) {
-    if (other == request || !s.waiting || s.closed || !s.batch_lane) {
-      continue;
+  // Waiting batch-lane requests in arrival order: only the prefix that had
+  // already waited past the bound at this request's arrival can be jumped.
+  for (const auto& [arrival_s, s] : waiting_batch_) {
+    double waited_s = request->arrival_time_s() - arrival_s;
+    if (waited_s <= aging_s) {
+      break;
     }
     // Only requests enqueued before this one can be "jumped"; retry attempts
     // enqueue late with their original arrival stamp and don't count.
-    if (s.enqueue_seq < shadow.enqueue_seq &&
-        request->arrival_time_s() - s.arrival_s > aging_s) {
-      std::ostringstream out;
-      out << "interactive request admitted past batch-lane request " << s.id
-          << " that had already waited " << request->arrival_time_s() - s.arrival_s
-          << "s at this request's arrival, beyond the declared " << aging_s
-          << "s aging bound";
-      AddViolation(Invariant::kNoStarvation, request->id(), out.str());
+    if (s == &shadow || s->closed || s->enqueue_seq >= shadow.enqueue_seq) {
+      continue;
     }
+    std::ostringstream out;
+    out << "interactive request admitted past batch-lane request " << s->id
+        << " that had already waited " << waited_s
+        << "s at this request's arrival, beyond the declared " << aging_s
+        << "s aging bound";
+    AddViolation(Invariant::kNoStarvation, request->id(), out.str());
   }
 }
 
@@ -608,25 +730,42 @@ void InvariantChecker::OnKvEvent(KvVerifyEvent event, int64_t seq_id) {
   switch (event) {
     case KvVerifyEvent::kAdmit:
     case KvVerifyEvent::kFork: {
-      if (!live_kv_.insert(seq_id).second) {
+      auto [it, inserted] = live_kv_.try_emplace(seq_id);
+      if (!inserted) {
         AddViolation(Invariant::kKvConservation, seq_id,
                      std::string(KvVerifyEventName(event)) +
                          " of a sequence that is already live");
+      } else if (paged_ != nullptr) {
+        SyncTable(seq_id, it->second, 0);
       }
       break;
     }
     case KvVerifyEvent::kRelease: {
-      if (live_kv_.erase(seq_id) == 0) {
+      auto it = live_kv_.find(seq_id);
+      if (it == live_kv_.end()) {
         AddViolation(Invariant::kKvConservation, seq_id,
                      "release of a sequence that was never admitted (double free?)");
+        break;
       }
+      for (int64_t block : it->second) {
+        if (InPool(block)) {
+          --table_refs_[static_cast<size_t>(block)];
+          TouchBlock(block);
+        }
+      }
+      live_kv_.erase(it);
       break;
     }
     case KvVerifyEvent::kAppend:
     case KvVerifyEvent::kCow: {
-      if (!live_kv_.contains(seq_id)) {
+      auto it = live_kv_.find(seq_id);
+      if (it == live_kv_.end()) {
         AddViolation(Invariant::kKvConservation, seq_id,
                      std::string(KvVerifyEventName(event)) + " on a dead sequence");
+      } else if (paged_ != nullptr) {
+        // An append only ever adds entries at the end; a copy-on-write swaps
+        // one anywhere in the table.
+        SyncTable(seq_id, it->second, event == KvVerifyEvent::kAppend ? it->second.size() : 0);
       }
       break;
     }
@@ -636,6 +775,7 @@ void InvariantChecker::OnKvEvent(KvVerifyEvent event, int64_t seq_id) {
 void InvariantChecker::EndRun() {
   CHECK(scheduler_ != nullptr) << "EndRun before BeginRun";
   AuditKv("end of run");
+  AuditKvFull("end of run");
   if (allocator_->num_sequences() != 0 || allocator_->used_units() != 0) {
     std::ostringstream out;
     out << "end of run with " << allocator_->num_sequences() << " sequences and "

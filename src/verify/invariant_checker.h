@@ -1,5 +1,8 @@
 // Runtime invariant checker: machine-checks the paper's load-bearing
-// scheduling and memory guarantees on every iteration of a simulation run.
+// scheduling and memory guarantees during a simulation run. Scheduling
+// invariants are checked on every batch; KV memory is audited per batch over
+// only what the batch touched, with full pool scans every
+// kFullAuditInterval-th checked iteration and at end of run.
 //
 // The checker attaches to a driver through two channels:
 //  - ObsHooks::verify (the VerifyHook interface) delivers semantic scheduler
@@ -20,10 +23,19 @@
 //  - token conservation:       scheduled prefill/decode tokens equal each
 //                              request's observed progress, across
 //                              preemption-recompute and crash-recompute.
-//  - KV conservation:          allocator self-audit (refcounts, free list,
-//                              used + free == total) plus a live-sequence
-//                              cross-check; zero sequences and zero used
-//                              units at end of run.
+//  - KV conservation:          per batch, on paged allocators, against a
+//                              checker-owned mirror of every live block
+//                              table: each block whose references or
+//                              refcount moved has refcount == table refs +
+//                              CacheRefs (index and pins), each touched
+//                              sequence's block arithmetic holds and its
+//                              block ids are in range, referenced + free ==
+//                              total blocks, and the live-sequence count
+//                              matches. The full allocator self-audit
+//                              (AuditInvariants) runs every
+//                              kFullAuditInterval-th iteration and at end of
+//                              run; zero sequences and zero used units at end
+//                              of run.
 //  - clock monotonicity:       schedule times and batch exits never move
 //                              backwards within a run.
 //  - batch sanity:             no duplicate or locked-in-flight requests in
@@ -40,8 +52,11 @@
 //                              chain reference always covers its ancestors,
 //                              and eviction never frees a block a live
 //                              sequence or pin still maps. Runs alongside
-//                              the KV audit on every batch; trivially clean
-//                              for non-caching allocators.
+//                              the full KV audit (every kFullAuditInterval-th
+//                              iteration and at end of run); per batch, the
+//                              index and pin references enter the KV
+//                              refcount check. Trivially clean for
+//                              non-caching allocators.
 //  - no starvation (QoS lanes): when a policy declares a batch_aging_s bound,
 //                              no batch-lane request is bypassed at admission
 //                              by an interactive request that was enqueued
@@ -64,10 +79,10 @@
 #define SRC_VERIFY_INVARIANT_CHECKER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/memory/kv_allocator.h"
@@ -136,8 +151,15 @@ struct Violation {
   std::string Render() const;
 };
 
+class PagedBlockManager;
+
 class InvariantChecker final : public VerifyHook {
  public:
+  // Every kFullAuditInterval-th checked iteration of a run (and at EndRun)
+  // the checker runs the allocator's full self-audits, which catch
+  // corruption of blocks no batch touched.
+  static constexpr int64_t kFullAuditInterval = 1024;
+
   struct Options {
     // Abort (LOG(Fatal)) on the first violation instead of accumulating.
     bool fatal = false;
@@ -180,6 +202,7 @@ class InvariantChecker final : public VerifyHook {
   // VerifyHook:
   void OnSchedulerEvent(SchedVerifyEvent event, const RequestState* request) override;
   void OnKvEvent(KvVerifyEvent event, int64_t seq_id) override;
+  void OnKvBlockRef(int64_t block) override;
 
   // Flight recorder to fire on the first violation (may be null). Fired
   // before a fatal abort, so the dump survives even in fatal mode.
@@ -228,11 +251,31 @@ class InvariantChecker final : public VerifyHook {
     double arrival_s = 0.0;
     bool waiting = false;
     int64_t enqueue_seq = -1;
+    // Entry in waiting_batch_ while this batch-lane request waits.
+    bool indexed = false;
+    std::multimap<double, const Shadow*>::iterator index_it;
+    // Iteration whose batch last carried this request: detects duplicates
+    // and batch membership without a per-batch set.
+    int64_t scheduled_iteration = -1;
   };
 
   void AddViolation(Invariant invariant, int64_t request_id, std::string message);
-  // Runs the allocator self-audit and the live-sequence cross-check.
+  // Per-batch KV audit over the blocks touched since the last audit point,
+  // plus the O(1) pool totals and the live-sequence cross-check.
   void AuditKv(const char* where);
+  // The allocator's full self-audits (AuditInvariants + AuditCache).
+  void AuditKvFull(const char* where);
+  // Re-reads `id`'s block table into `mirror` from index `from` on, moving
+  // table references and touching every block whose entry changed, and checks
+  // the sequence's block arithmetic.
+  void SyncTable(int64_t id, std::vector<int64_t>& mirror, size_t from);
+  void TouchBlock(int64_t block);
+  bool InPool(int64_t block) const {
+    return block >= 0 && block < static_cast<int64_t>(table_refs_.size());
+  }
+  // Keeps waiting_batch_ in step with a shadow's waiting/lane state; call
+  // after changing either.
+  void IndexWaiting(Shadow& shadow);
   // QoS-lane admission-order check (see the no-starvation invariant above);
   // called on every kAdmit with the admitted request's shadow.
   void CheckNoStarvation(const RequestState* request, const Shadow& shadow);
@@ -257,8 +300,24 @@ class InvariantChecker final : public VerifyHook {
   bool any_scheduled_ = false;
   bool any_applied_ = false;
   std::unordered_map<const RequestState*, Shadow> shadows_;
-  std::unordered_set<int64_t> live_kv_;
+  // Waiting batch-lane shadows keyed by arrival (the no-starvation index).
+  std::multimap<double, const Shadow*> waiting_batch_;
   int64_t enqueue_counter_ = 0;
+
+  // ---- Per-run KV mirror (reset by BeginRun) ----
+  // Live sequences, each with the checker's copy of its block table (left
+  // empty when the allocator is not paged).
+  std::unordered_map<int64_t, std::vector<int64_t>> live_kv_;
+  // Set when the allocator is a PagedBlockManager: enables the block audit.
+  const PagedBlockManager* paged_ = nullptr;
+  // Per physical block: references from mirrored tables, whether it is
+  // queued in touched_blocks_, and whether its refcount was > 0 when last
+  // audited (their sum is referenced_blocks_).
+  std::vector<int32_t> table_refs_;
+  std::vector<uint8_t> touched_;
+  std::vector<uint8_t> referenced_;
+  std::vector<int64_t> touched_blocks_;
+  int64_t referenced_blocks_ = 0;
 };
 
 }  // namespace sarathi

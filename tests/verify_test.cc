@@ -7,13 +7,17 @@
 // feeding the checker a corrupted view of what was scheduled or applied.
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/core/serving_system.h"
 #include "src/memory/block_manager.h"
+#include "src/memory/prefix_cache.h"
 #include "src/scheduler/scheduler_factory.h"
 #include "src/simulator/cluster_simulator.h"
 #include "src/simulator/replica_simulator.h"
@@ -407,6 +411,384 @@ TEST(InvariantCheckerTest, CleanClusterRunWithFaultsIsClean) {
   simulator.Run(UniformTrace(32, 160, 16, 0.05));
   EXPECT_TRUE(checker.ok()) << checker.Report();
   EXPECT_GE(checker.runs_checked(), 2);
+}
+
+// ---------- no_starvation ----------
+
+// A buggy QoS scheduler, played by feeding the checker events directly: an
+// interactive request is admitted while a batch-lane request that arrived
+// more than batch_aging_s earlier still waits.
+TEST(InvariantCheckerTest, InteractiveJumpPastAgedBatchRequestIsCaught) {
+  PagedBlockManager::Options options;
+  options.num_blocks = 64;
+  PagedBlockManager allocator(options);
+  SchedulerConfig config = SarathiConfig(256, 8);
+  config.qos_lanes = true;
+  config.batch_aging_s = 2.0;
+  std::unique_ptr<Scheduler> scheduler = MakeScheduler(config, &allocator);
+  InvariantChecker checker;
+  checker.BeginRun(scheduler.get(), &allocator, "qos");
+
+  auto make = [](int64_t id, double arrival_s, QosClass qos) {
+    Request r;
+    r.id = id;
+    r.arrival_time_s = arrival_s;
+    r.prompt_tokens = 32;
+    r.output_tokens = 4;
+    r.qos = qos;
+    return std::make_unique<RequestState>(r);
+  };
+  auto aged = make(1, 0.0, QosClass::kBatch);      // Waits 5 s > 2 s bound.
+  auto young = make(2, 4.0, QosClass::kBatch);     // Waits 1 s: may be jumped.
+  auto jumper = make(3, 5.0, QosClass::kInteractive);
+  auto retry = make(4, 0.5, QosClass::kBatch);     // Enqueued after the jumper.
+  checker.OnSchedulerEvent(SchedVerifyEvent::kEnqueue, aged.get());
+  checker.OnSchedulerEvent(SchedVerifyEvent::kEnqueue, young.get());
+  checker.OnSchedulerEvent(SchedVerifyEvent::kEnqueue, jumper.get());
+  checker.OnSchedulerEvent(SchedVerifyEvent::kEnqueue, retry.get());
+  ASSERT_TRUE(checker.ok()) << checker.Report();
+  checker.OnSchedulerEvent(SchedVerifyEvent::kAdmit, jumper.get());
+
+  ASSERT_EQ(checker.total_violations(), 1) << checker.Report();
+  const Violation& v = checker.violations().front();
+  EXPECT_EQ(v.invariant, Invariant::kNoStarvation);
+  EXPECT_EQ(v.request_id, 3);
+  EXPECT_NE(v.message.find("batch-lane request 1 "), std::string::npos) << v.Render();
+  EXPECT_NE(v.message.find("aging bound"), std::string::npos) << v.Render();
+
+  // Once the aged request is admitted it no longer waits: a second jump
+  // only bypasses requests within the bound or enqueued later.
+  auto late = make(5, 5.5, QosClass::kInteractive);
+  checker.OnSchedulerEvent(SchedVerifyEvent::kAdmit, aged.get());
+  checker.OnSchedulerEvent(SchedVerifyEvent::kEnqueue, late.get());
+  checker.OnSchedulerEvent(SchedVerifyEvent::kAdmit, late.get());
+  EXPECT_EQ(checker.total_violations(), 2) << checker.Report();  // Jumped `retry`.
+  EXPECT_NE(checker.violations().back().message.find("batch-lane request 4 "),
+            std::string::npos)
+      << checker.Report();
+}
+
+// ---------- incremental KV audit ----------
+
+// Test-only allocator whose refcounts can be corrupted behind the checker's
+// back (no notification), the way a buggy allocator would drift.
+class CorruptibleBlockManager : public PagedBlockManager {
+ public:
+  using PagedBlockManager::PagedBlockManager;
+  void CorruptRefcount(int64_t block, int32_t delta) {
+    refcount_[static_cast<size_t>(block)] += delta;
+  }
+};
+
+// A checker bound to a bare allocator. Batch() closes one empty batch (an
+// audit point) and reports whether the checker flagged anything in it.
+class KvAuditRig {
+ public:
+  explicit KvAuditRig(PagedBlockManager* allocator) : allocator_(allocator) {
+    scheduler_ = MakeScheduler(SarathiConfig(256, 8), allocator);
+    obs_.verify = &checker_;
+    allocator->set_obs(&obs_);
+    checker_.BeginRun(scheduler_.get(), allocator, "kv");
+  }
+
+  bool Batch() {
+    int64_t before = checker_.total_violations();
+    checker_.OnBatchScheduled(ScheduledBatch(), now_);
+    now_ += 0.001;
+    return checker_.total_violations() > before;
+  }
+
+  // The verdict of the allocator's full self-audits right now.
+  bool FullAuditFails() const {
+    return !allocator_->AuditInvariants().empty() || !allocator_->AuditCache().empty();
+  }
+
+  InvariantChecker& checker() { return checker_; }
+
+ private:
+  PagedBlockManager* allocator_;
+  InvariantChecker checker_;
+  ObsHooks obs_;
+  std::unique_ptr<Scheduler> scheduler_;
+  double now_ = 0.0;
+};
+
+constexpr uint64_t kDiffSeeds = 100;
+constexpr int kDiffOps = 300;
+
+template <typename Map>
+typename Map::iterator PickFrom(Map& map, Rng& rng) {
+  auto it = map.begin();
+  std::advance(it, rng.UniformInt(0, static_cast<int64_t>(map.size()) - 1));
+  return it;
+}
+
+// Plain paging with fork, copy-on-write (explicit and on append) and, on odd
+// seeds, a sliding window. Every few admissions the first block's refcount is
+// corrupted: the admission touched it, so the same batch must be flagged by
+// both audits; the corruption is then healed. Counts the corruptions.
+void RunPagedDifferential(uint64_t seed, int* corruptions) {
+  PagedBlockManager::Options options;
+  options.num_blocks = 32;
+  options.block_size = 4;
+  options.watermark = 0.0;
+  options.sliding_window = seed % 2 == 1 ? 16 : 0;
+  CorruptibleBlockManager allocator(options);
+  KvAuditRig rig(&allocator);
+  Rng rng(seed);
+  std::map<SeqId, bool> live;
+  SeqId next_id = 0;
+  for (int op = 0; op < kDiffOps; ++op) {
+    bool corrupt = false;
+    int kind = static_cast<int>(rng.UniformInt(0, 4));
+    if (kind != 0 && live.empty()) {
+      kind = 0;
+    }
+    switch (kind) {
+      case 0: {
+        int64_t prompt = rng.UniformInt(1, 12);
+        if (allocator.CanAdmit(prompt, prompt + 8)) {
+          allocator.Admit(next_id, prompt, prompt + 8);
+          live[next_id] = true;
+          if (rng.UniformInt(0, 9) == 0) {
+            allocator.CorruptRefcount(allocator.BlockTable(next_id)[0], 1);
+            corrupt = true;
+          }
+          ++next_id;
+        }
+        break;
+      }
+      case 1: {
+        SeqId id = PickFrom(live, rng)->first;
+        if (allocator.CanAppendToken(id)) {
+          allocator.AppendToken(id);
+          allocator.TakePendingCows();
+        }
+        break;
+      }
+      case 2: {
+        SeqId parent = PickFrom(live, rng)->first;
+        allocator.Fork(parent, next_id);
+        live[next_id++] = true;
+        break;
+      }
+      case 3: {
+        SeqId id = PickFrom(live, rng)->first;
+        int64_t pos = rng.UniformInt(0, allocator.SequenceTokens(id) - 1);
+        if (allocator.free_blocks() > 0) {
+          allocator.MakeWritable(id, pos);
+        }
+        break;
+      }
+      case 4: {
+        auto it = PickFrom(live, rng);
+        allocator.Release(it->first);
+        live.erase(it);
+        break;
+      }
+    }
+    bool full_fails = rig.FullAuditFails();
+    ASSERT_EQ(rig.Batch(), full_fails)
+        << "seed " << seed << " op " << op << "\n" << rig.checker().Report();
+    ASSERT_EQ(full_fails, corrupt) << "seed " << seed << " op " << op;
+    if (corrupt) {
+      ++*corruptions;
+      allocator.CorruptRefcount(allocator.BlockTable(next_id - 1)[0], -1);
+    }
+  }
+  for (const auto& [id, unused] : live) {
+    allocator.Release(id);
+  }
+  int64_t flagged = rig.checker().total_violations();
+  rig.checker().EndRun();
+  EXPECT_EQ(rig.checker().total_violations(), flagged) << rig.checker().Report();
+}
+
+TEST(IncrementalKvAuditTest, MatchesFullAuditOnPagedAllocator) {
+  int corruptions = 0;
+  for (uint64_t seed = 0; seed < kDiffSeeds; ++seed) {
+    RunPagedDifferential(seed, &corruptions);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(corruptions, 0);
+}
+
+// The prefix cache's full lifecycle: pin (lookup) before admission, admission
+// transplanting the pin, decode appends that evict under pressure, forks,
+// finish-time retention, preemption and pins dropped while queued. Counts the
+// evictions.
+void RunPrefixDifferential(uint64_t seed, int64_t* evictions) {
+  PagedBlockManager::Options options;
+  options.num_blocks = 32;
+  options.block_size = 4;
+  options.watermark = 0.0;
+  PrefixCachingAllocator allocator(options);
+  KvAuditRig rig(&allocator);
+  Rng rng(seed);
+  struct Pending {
+    int64_t prompt = 0;
+    std::shared_ptr<const std::vector<int32_t>> tokens;
+  };
+  std::map<SeqId, Pending> queued;  // Pinned or preempted, not admitted.
+  std::map<SeqId, Pending> live;
+  std::vector<std::shared_ptr<const std::vector<int32_t>>> history;
+  SeqId next_id = 0;
+  for (int op = 0; op < kDiffOps; ++op) {
+    switch (rng.UniformInt(0, 6)) {
+      case 0: {  // Arrival: pin the longest cached prefix.
+        Pending p;
+        p.prompt = rng.UniformInt(1, 24);
+        auto tokens = std::make_shared<std::vector<int32_t>>();
+        if (!history.empty() && rng.UniformInt(0, 2) > 0) {
+          const auto& base = *history[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(history.size()) - 1))];
+          tokens->assign(base.begin(),
+                         base.begin() + std::min<int64_t>(static_cast<int64_t>(base.size()),
+                                                          p.prompt));
+        }
+        while (static_cast<int64_t>(tokens->size()) < p.prompt + 8) {
+          tokens->push_back(static_cast<int32_t>(rng.UniformInt(0, 3)));
+        }
+        p.tokens = tokens;
+        allocator.PinPrefix(next_id, tokens, p.prompt);
+        queued[next_id++] = p;
+        break;
+      }
+      case 1: {  // Admission (a pinned arrival or a preempted recompute).
+        if (queued.empty()) break;
+        auto it = PickFrom(queued, rng);
+        if (allocator.CanAdmitSeq(it->first, it->second.prompt, it->second.prompt + 8)) {
+          allocator.Admit(it->first, it->second.prompt, it->second.prompt + 8);
+          live[it->first] = it->second;
+          queued.erase(it);
+        }
+        break;
+      }
+      case 2: {  // Decode append (evicts when the pool is dry).
+        if (live.empty()) break;
+        SeqId id = PickFrom(live, rng)->first;
+        if (allocator.CanAppendToken(id)) {
+          allocator.AppendToken(id);
+          allocator.TakePendingCows();
+        }
+        break;
+      }
+      case 3: {  // Fork.
+        if (live.empty()) break;
+        auto parent = PickFrom(live, rng);
+        allocator.Fork(parent->first, next_id);
+        live[next_id++] = Pending{parent->second.prompt, nullptr};
+        break;
+      }
+      case 4: {  // Finish: retain full blocks in the index.
+        if (live.empty()) break;
+        auto it = PickFrom(live, rng);
+        if (it->second.tokens != nullptr) {
+          history.push_back(it->second.tokens);
+        }
+        allocator.ReleaseFinished(it->first);
+        live.erase(it);
+        break;
+      }
+      case 5: {  // Dropped while queued: releases the pin.
+        if (queued.empty()) break;
+        auto it = PickFrom(queued, rng);
+        allocator.OnRequestDropped(it->first);
+        queued.erase(it);
+        break;
+      }
+      case 6: {  // Preemption: blocks released, recompute queued.
+        if (live.empty()) break;
+        auto it = PickFrom(live, rng);
+        Pending p{allocator.SequenceTokens(it->first), it->second.tokens};
+        allocator.Release(it->first);
+        queued[it->first] = p;
+        live.erase(it);
+        break;
+      }
+    }
+    bool full_fails = rig.FullAuditFails();
+    ASSERT_FALSE(full_fails) << "seed " << seed << " op " << op;
+    ASSERT_FALSE(rig.Batch()) << "seed " << seed << " op " << op << "\n"
+                              << rig.checker().Report();
+  }
+  for (const auto& [id, unused] : queued) {
+    allocator.OnRequestDropped(id);
+  }
+  for (const auto& [id, unused] : live) {
+    allocator.ReleaseFinished(id);
+  }
+  EXPECT_GT(allocator.stats().hits, 0) << "seed " << seed;
+  *evictions += allocator.stats().evictions;
+  allocator.DrainCache();
+  rig.checker().EndRun();
+  EXPECT_TRUE(rig.checker().ok()) << "seed " << seed << "\n" << rig.checker().Report();
+}
+
+TEST(IncrementalKvAuditTest, MatchesFullAuditOnPrefixCache) {
+  int64_t evictions = 0;
+  for (uint64_t seed = 0; seed < kDiffSeeds; ++seed) {
+    RunPrefixDifferential(seed, &evictions);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(evictions, 0);
+}
+
+TEST(IncrementalKvAuditTest, CorruptTouchedBlockIsCaughtAtThatBatch) {
+  PagedBlockManager::Options options;
+  options.num_blocks = 64;
+  CorruptibleBlockManager allocator(options);
+  KvAuditRig rig(&allocator);
+  allocator.Admit(1, 40, 64);
+  ASSERT_FALSE(rig.Batch());
+  allocator.Fork(1, 2);  // Touches every block of sequence 1.
+  allocator.CorruptRefcount(allocator.BlockTable(1)[1], -1);
+  EXPECT_TRUE(rig.Batch());
+  ASSERT_TRUE(HasInvariant(rig.checker(), Invariant::kKvConservation));
+  const Violation& v = rig.checker().violations().front();
+  EXPECT_EQ(v.iteration, 2);
+  EXPECT_NE(v.message.find("refcount 1 but 2 references"), std::string::npos) << v.Render();
+}
+
+TEST(IncrementalKvAuditTest, CorruptUntouchedBlockIsCaughtByThePeriodicScan) {
+  PagedBlockManager::Options options;
+  options.num_blocks = 64;
+  CorruptibleBlockManager allocator(options);
+  KvAuditRig rig(&allocator);
+  allocator.Admit(1, 40, 64);
+  ASSERT_FALSE(rig.Batch());
+  allocator.CorruptRefcount(allocator.BlockTable(1)[0], 1);
+  // No batch touches the block, so only the full scan sees it.
+  for (int64_t i = 2; i < InvariantChecker::kFullAuditInterval; ++i) {
+    ASSERT_FALSE(rig.Batch()) << "iteration " << i << "\n" << rig.checker().Report();
+  }
+  EXPECT_TRUE(rig.Batch());
+  ASSERT_EQ(rig.checker().total_violations(), 1) << rig.checker().Report();
+  const Violation& v = rig.checker().violations().front();
+  EXPECT_EQ(v.iteration, InvariantChecker::kFullAuditInterval);
+  EXPECT_NE(v.message.find("allocator audit failed"), std::string::npos) << v.Render();
+}
+
+TEST(IncrementalKvAuditTest, CorruptUntouchedBlockIsCaughtAtEndOfRun) {
+  PagedBlockManager::Options options;
+  options.num_blocks = 64;
+  CorruptibleBlockManager allocator(options);
+  KvAuditRig rig(&allocator);
+  allocator.Admit(1, 40, 64);
+  ASSERT_FALSE(rig.Batch());
+  allocator.Release(1);
+  ASSERT_FALSE(rig.Batch());
+  allocator.CorruptRefcount(63, 1);  // A free block nobody touches again.
+  ASSERT_FALSE(rig.Batch());
+  rig.checker().EndRun();
+  ASSERT_EQ(rig.checker().total_violations(), 1) << rig.checker().Report();
+  const Violation& v = rig.checker().violations().front();
+  EXPECT_NE(v.message.find("after end of run"), std::string::npos) << v.Render();
+  EXPECT_NE(v.message.find("leaked block"), std::string::npos) << v.Render();
 }
 
 }  // namespace

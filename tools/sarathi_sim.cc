@@ -6,6 +6,7 @@
 //   sarathi_sim --model=mistral-7b --policy=vllm --capacity --slo=strict
 //   sarathi_sim --model=yi-34b --policy=sarathi --derive-budget --slo=0.2
 //               --trace=mytrace.csv --telemetry-dir=/tmp --telemetry-prefix=run1
+//   sarathi_sim --model=mistral-7b --replicas=3 --mtbf=6 --mttr=2 --check
 // (flags shown on continuation lines belong to the command above them)
 //
 // Run with --help for the full flag list.
@@ -26,6 +27,7 @@
 #include "src/simulator/telemetry.h"
 #include "src/workload/diurnal.h"
 #include "src/workload/session_trace.h"
+#include "src/verify/invariant_checker.h"
 #include "src/workload/trace_io.h"
 
 namespace sarathi {
@@ -143,6 +145,10 @@ SLO burn-rate monitoring (alerts land in the trace, metrics and flight sinks):
   --slo-tbt=S                          TBT SLO threshold, seconds (0 = off)
   --slo-target=F                       attainment target (default 0.99)
   --slo-out=FILE.csv                   write the burn-rate alert log CSV
+Verification:
+  --check                              attach the invariant checker to every
+                                       replica run, print its report, and exit
+                                       1 on any violation
 )";
 
 StatusOr<Deployment> PickDeployment(const std::string& name) {
@@ -582,6 +588,10 @@ int RunMain(int argc, char** argv) {
   }
   std::cout << "\nTrace: " << trace->Summary() << "\n";
 
+  bool check = args.GetBool("check", false);
+  InvariantChecker checker;
+  InvariantChecker* checker_ptr = check ? &checker : nullptr;
+
   SimResult result;
   if (*replicas > 1 || fault_run) {
     // Fault-injected runs always go through the cluster simulator — even for
@@ -597,6 +607,7 @@ int RunMain(int argc, char** argv) {
     cluster.replica.flight = flight.get();
     cluster.replica.slo = slo_ptr;
     cluster.replica.overload = overload;
+    cluster.replica.checker = checker_ptr;
     cluster.num_replicas = static_cast<int>(*replicas);
     cluster.faults = faults;
     cluster.max_retries = static_cast<int>(*max_retries);
@@ -637,7 +648,8 @@ int RunMain(int argc, char** argv) {
     result = simulator.Run(*trace);
   } else {
     (void)args.GetString("routing", "");  // Consume so no spurious warning.
-    result = system.Serve(*trace, record, tracer_ptr, metrics_ptr, flight.get(), slo_ptr);
+    result = system.Serve(*trace, record, tracer_ptr, metrics_ptr, flight.get(), slo_ptr,
+                          checker_ptr);
   }
 
   Table table({"metric", "value"});
@@ -704,6 +716,9 @@ int RunMain(int argc, char** argv) {
     }
   }
   table.Print();
+  if (check) {
+    std::cout << checker.Report();
+  }
 
   if (!telemetry_dir.empty()) {
     std::string prefix = args.GetString("telemetry-prefix", "run");
@@ -784,7 +799,7 @@ int RunMain(int argc, char** argv) {
   for (const std::string& key : args.UnconsumedKeys()) {
     std::cerr << "warning: unknown flag --" << key << " ignored\n";
   }
-  return 0;
+  return checker.ok() ? 0 : 1;
 }
 
 }  // namespace
