@@ -61,19 +61,52 @@ void Summary::EnsureSorted() const {
   }
 }
 
-double Summary::Quantile(double q) const {
-  CHECK(!samples_.empty());
+namespace {
+
+// Linear interpolation between closest ranks: rank = q * (n - 1) falls
+// between positions lo and hi = lo + 1 (clamped) of the sorted samples, at
+// fraction `frac` past lo.
+struct QuantileRank {
+  size_t lo = 0;
+  size_t hi = 0;
+  double frac = 0.0;
+};
+
+QuantileRank RankOf(double q, size_t n) {
+  CHECK_GT(n, 0u);
   CHECK_GE(q, 0.0);
   CHECK_LE(q, 1.0);
+  double rank = q * static_cast<double>(n - 1);
+  auto lo = static_cast<size_t>(rank);
+  return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+double Interpolate(double lo_value, double hi_value, double frac) {
+  return lo_value + frac * (hi_value - lo_value);
+}
+
+}  // namespace
+
+double Summary::Quantile(double q) const {
+  QuantileRank rank = RankOf(q, samples_.size());
   EnsureSorted();
   if (sorted_.size() == 1) {
     return sorted_[0];
   }
-  double rank = q * static_cast<double>(sorted_.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
+  return Interpolate(sorted_[rank.lo], sorted_[rank.hi], rank.frac);
+}
+
+double SelectQuantile(std::span<double> samples, double q) {
+  QuantileRank rank = RankOf(q, samples.size());
+  if (samples.size() == 1) {
+    return samples[0];
+  }
+  auto lo = samples.begin() + static_cast<std::ptrdiff_t>(rank.lo);
+  std::nth_element(samples.begin(), lo, samples.end());
+  // Everything after lo is >= *lo, so the tail's minimum is the next order
+  // statistic.
+  double hi_value = rank.hi == rank.lo ? *lo : *std::min_element(lo + 1, samples.end());
+  return Interpolate(*lo, hi_value, rank.frac);
 }
 
 void RunningStats::Add(double sample) {

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,12 @@ class Summary {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
 };
+
+// Exact quantile by selection: the value Summary::Quantile(q) returns for the
+// same samples, bit for bit (same rank arithmetic), in expected O(n) time and
+// without a copy or a full sort. Reorders `samples` in place. q in [0, 1];
+// requires at least 1 sample.
+double SelectQuantile(std::span<double> samples, double q);
 
 // O(1)-memory mean/variance accumulator (Welford's algorithm).
 class RunningStats {

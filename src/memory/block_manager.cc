@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/obs/obs_hooks.h"
@@ -54,12 +55,17 @@ PagedBlockManager::PagedBlockManager(const Options& options) : options_(options)
   CHECK_GT(options_.block_size, 0);
   CHECK_GE(options_.watermark, 0.0);
   CHECK_LT(options_.watermark, 1.0);
-  free_list_.reserve(static_cast<size_t>(options_.num_blocks));
-  // Hand out low block ids first: push high ids so pop_back yields low ones.
-  for (int64_t b = options_.num_blocks - 1; b >= 0; --b) {
-    free_list_.push_back(b);
+  // The pool starts empty of per-block state: AllocateBlock grows it.
+}
+
+std::string PagedBlockManager::CheckBlockId(int64_t block) const {
+  if (block >= 0 && block < high_water_blocks()) {
+    return "";
   }
-  refcount_.assign(static_cast<size_t>(options_.num_blocks), 0);
+  std::ostringstream out;
+  out << "block id " << block << " outside [0, " << high_water_blocks()
+      << "), the blocks ever allocated (pool of " << options_.num_blocks << ")";
+  return out.str();
 }
 
 int64_t PagedBlockManager::BlocksForTokens(int64_t tokens) const {
@@ -236,9 +242,14 @@ int64_t PagedBlockManager::SequenceTokens(SeqId id) const {
 }
 
 std::string PagedBlockManager::AuditInvariants() const {
+  std::vector<int32_t> expected;
+  std::string audit = CountTableRefs(expected);
+  return audit.empty() ? AuditRefcounts(expected, "table references") : audit;
+}
+
+std::string PagedBlockManager::CountTableRefs(std::vector<int32_t>& expected) const {
   std::ostringstream out;
-  // Expected refcount of every physical block, recounted from the tables.
-  std::vector<int32_t> expected(refcount_.size(), 0);
+  expected.assign(refcount_.size(), 0);
   for (const auto& [id, state] : tables_) {
     int64_t needed = BlocksForTokens(state.num_tokens);
     if (static_cast<int64_t>(state.blocks.size()) != needed) {
@@ -247,19 +258,23 @@ std::string PagedBlockManager::AuditInvariants() const {
       return out.str();
     }
     for (int64_t block : state.blocks) {
-      if (block < 0 || block >= options_.num_blocks) {
-        out << "seq " << id << ": block id " << block << " out of range [0, "
-            << options_.num_blocks << ")";
+      if (std::string bad = CheckBlockId(block); !bad.empty()) {
+        out << "seq " << id << ": " << bad;
         return out.str();
       }
       ++expected[static_cast<size_t>(block)];
     }
   }
+  return "";
+}
+
+std::string PagedBlockManager::AuditRefcounts(const std::vector<int32_t>& expected,
+                                              std::string_view sources) const {
+  std::ostringstream out;
   std::vector<bool> on_free_list(refcount_.size(), false);
   for (int64_t block : free_list_) {
-    if (block < 0 || block >= options_.num_blocks) {
-      out << "free list holds out-of-range block id " << block;
-      return out.str();
+    if (std::string bad = CheckBlockId(block); !bad.empty()) {
+      return "free list holds " + bad;
     }
     if (on_free_list[static_cast<size_t>(block)]) {
       out << "block " << block << " appears twice on the free list";
@@ -267,43 +282,51 @@ std::string PagedBlockManager::AuditInvariants() const {
     }
     on_free_list[static_cast<size_t>(block)] = true;
   }
-  for (int64_t b = 0; b < options_.num_blocks; ++b) {
-    auto i = static_cast<size_t>(b);
+  for (size_t i = 0; i < refcount_.size(); ++i) {
     if (refcount_[i] != expected[i]) {
-      out << "block " << b << ": refcount " << refcount_[i] << " but " << expected[i]
-          << " table references" << (expected[i] == 0 ? " (leaked block)" : "");
+      out << "block " << i << ": refcount " << refcount_[i] << " but " << expected[i] << ' '
+          << sources << (expected[i] == 0 ? " (leaked block)" : "");
       return out.str();
     }
     if ((refcount_[i] == 0) != on_free_list[i]) {
-      out << "block " << b << ": refcount " << refcount_[i]
+      out << "block " << i << ": refcount " << refcount_[i]
           << (on_free_list[i] ? " yet on the free list" : " yet missing from the free list");
       return out.str();
     }
   }
-  // used + free == total is implied by the per-block check above: every block
-  // is either referenced (used) or on the free list, never both.
+  // used + free == total follows: every block below the high-water mark is
+  // either referenced (used) or on the free list, never both, and every block
+  // at or above it is free.
   return "";
 }
 
 int32_t PagedBlockManager::BlockRefCount(int64_t block) const {
   CHECK_GE(block, 0);
   CHECK_LT(block, options_.num_blocks);
-  return refcount_[static_cast<size_t>(block)];
+  return block < high_water_blocks() ? refcount_[static_cast<size_t>(block)] : 0;
 }
 
 int64_t PagedBlockManager::AllocateBlock() {
-  CHECK(!free_list_.empty()) << "out of KV blocks";
-  int64_t block = free_list_.back();
-  free_list_.pop_back();
-  CHECK_EQ(refcount_[static_cast<size_t>(block)], 0);
-  refcount_[static_cast<size_t>(block)] = 1;
+  int64_t block;
+  if (!free_list_.empty()) {
+    block = free_list_.back();
+    free_list_.pop_back();
+    CHECK_EQ(refcount_[static_cast<size_t>(block)], 0);
+    refcount_[static_cast<size_t>(block)] = 1;
+  } else {
+    // No released block: take the lowest never-used id, the one an eager
+    // free stack would have on top.
+    block = high_water_blocks();
+    CHECK_LT(block, options_.num_blocks) << "out of KV blocks";
+    refcount_.push_back(1);
+  }
   NotifyBlockRef(block);
   return block;
 }
 
 void PagedBlockManager::ReleaseBlockRef(int64_t block) {
   CHECK_GE(block, 0);
-  CHECK_LT(block, options_.num_blocks);
+  CHECK_LT(block, high_water_blocks());
   int32_t& count = refcount_[static_cast<size_t>(block)];
   CHECK_GT(count, 0);
   if (--count == 0) {

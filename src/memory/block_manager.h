@@ -8,6 +8,13 @@
 // memory. Models with sliding-window attention (Mistral-7B) retain only the
 // window's worth of blocks; older blocks are recycled in place.
 //
+// The pool is grown lazily: never-used block ids come from a high-water
+// counter, and the free list holds only released blocks. Allocation pops the
+// free list when it is non-empty and otherwise takes the next fresh id, which
+// hands out exactly the ids an eagerly filled free stack [N-1 ... 0] would,
+// while a run that touches few blocks pays only for those (per-block state
+// grows to the high-water mark, not to num_blocks).
+//
 // Blocks are reference-counted, which enables PagedAttention's hallmark
 // sharing: Fork() gives a child sequence the parent's table without copying
 // any KV (parallel sampling / beam-search style divergence); writes to a
@@ -20,6 +27,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -81,7 +90,8 @@ class PagedBlockManager : public KvAllocator {
   // apply the corresponding data copies before writing. Only ever non-empty
   // after Fork() has been used.
   std::vector<std::pair<SeqId, CowOp>> TakePendingCows();
-  // Reference count of a physical block (diagnostics/tests).
+  // Reference count of a physical block (diagnostics/tests); 0 for a block
+  // at or above the high-water mark, which was never allocated.
   int32_t BlockRefCount(int64_t block) const;
   // References on `block` held outside every sequence's table: 0 for plain
   // paging; the index's own reference plus pending pins for the prefix cache.
@@ -93,9 +103,15 @@ class PagedBlockManager : public KvAllocator {
 
   int64_t num_blocks() const { return options_.num_blocks; }
   int64_t block_size() const { return options_.block_size; }
-  int64_t free_blocks() const { return static_cast<int64_t>(free_list_.size()); }
+  // Released blocks plus the never-used ones above the high-water mark.
+  int64_t free_blocks() const {
+    return static_cast<int64_t>(free_list_.size()) + options_.num_blocks - high_water_blocks();
+  }
   int64_t used_blocks() const { return options_.num_blocks - free_blocks(); }
   bool HasSequence(SeqId id) const { return tables_.contains(id); }
+  // Blocks ever allocated: ids below it have been handed out at least once,
+  // ids at or above it never have. Per-block state is sized to it.
+  int64_t high_water_blocks() const { return static_cast<int64_t>(refcount_.size()); }
 
   // The sequence's physical block table, in logical order.
   const std::vector<int64_t>& BlockTable(SeqId id) const;
@@ -140,6 +156,18 @@ class PagedBlockManager : public KvAllocator {
   // paging only crosses 1 <-> 2 through Fork and releases of shared blocks,
   // never on a decode append to an exclusive block.
   virtual void OnSoleReferenceChanged(int64_t /*block*/, bool /*sole*/) {}
+  // Full-audit building blocks, O(high-water mark + table entries). An id is
+  // valid only below the high-water mark: CheckBlockId describes one that is
+  // not ("" when valid). CountTableRefs checks every table's block arithmetic
+  // and ids and counts its references per block into `expected` (sized to the
+  // high-water mark). AuditRefcounts checks the free list's ids and that every
+  // block's refcount equals `expected` (described as `sources`) and that it is
+  // on the free list exactly when unreferenced. Each returns the first
+  // inconsistency, or "".
+  std::string CheckBlockId(int64_t block) const;
+  std::string CountTableRefs(std::vector<int32_t>& expected) const;
+  std::string AuditRefcounts(const std::vector<int32_t>& expected,
+                             std::string_view sources) const;
   // Logical token position -> index into the sequence's block table.
   int64_t BlockIndexFor(int64_t pos) const;
   // Emits the blocks-in-use counter (when it changed) and an optional named
@@ -150,6 +178,8 @@ class PagedBlockManager : public KvAllocator {
   mutable SeqId hot_id_ = 0;
   mutable SequenceState* hot_state_ = nullptr;
   int64_t last_emitted_used_ = -1;
+  // Released blocks only, most recent on top; fresh ids come from the high-
+  // water mark, refcount_.size(), which AllocateBlock grows one at a time.
   std::vector<int64_t> free_list_;
   std::vector<int32_t> refcount_;
   std::unordered_map<SeqId, SequenceState> tables_;

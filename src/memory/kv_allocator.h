@@ -93,10 +93,13 @@ class KvAllocator {
   // once (free list xor reference from a table), refcounts consistent,
   // per-sequence token/block arithmetic intact. Returns an empty string when
   // consistent, else a human-readable description of the first inconsistency
-  // found. O(capacity), so not for the serving path: the invariant checker
-  // runs it every InvariantChecker::kFullAuditInterval-th checked iteration
-  // and at end of run, and per batch audits only the blocks the batch
-  // touched.
+  // found. The paged pool grows lazily (its free list holds only released
+  // blocks; fresh ids come from a high-water counter), so the audit is
+  // O(high-water mark + table entries), and an id at or above the mark in a
+  // table, the free list or the prefix index is itself a violation. Still
+  // not for the serving path: the invariant checker runs it every
+  // InvariantChecker::kFullAuditInterval-th checked iteration and at end of
+  // run, and per batch audits only the blocks the batch touched.
   virtual std::string AuditInvariants() const = 0;
 
   // Prefix-cache structural self-audit: every cached block referenced exactly

@@ -36,8 +36,7 @@ void NotifyKv(ObsHooks* obs, KvVerifyEvent event, SeqId id) {
 }  // namespace
 
 PrefixCachingAllocator::PrefixCachingAllocator(const Options& options)
-    : PagedBlockManager(options),
-      node_of_block_(static_cast<size_t>(options.num_blocks), nullptr) {
+    : PagedBlockManager(options) {
   CHECK_EQ(options.sliding_window, 0)
       << "prefix caching requires position-stable blocks; sliding-window "
          "models recycle block contents in place";
@@ -110,7 +109,7 @@ void PrefixCachingAllocator::Touch(Node* node) {
 }
 
 void PrefixCachingAllocator::OnSoleReferenceChanged(int64_t block, bool sole) {
-  Node* node = node_of_block_[static_cast<size_t>(block)];
+  Node* node = NodeOf(block);
   if (node == nullptr) {
     return;  // Not cached: only the index's own blocks are reclaimable.
   }
@@ -275,7 +274,11 @@ void PrefixCachingAllocator::ReleaseFinished(SeqId id) {
       ++stats_.retained_blocks;
       stats_.peak_cached_blocks = std::max(stats_.peak_cached_blocks, cached_count_);
       Node* inserted = child.get();
-      node_of_block_[static_cast<size_t>(inserted->block)] = inserted;
+      auto slot = static_cast<size_t>(inserted->block);
+      if (slot >= node_of_block_.size()) {
+        node_of_block_.resize(slot + 1, nullptr);  // Grows toward the high-water mark.
+      }
+      node_of_block_[slot] = inserted;
       node->children.emplace(key, std::move(child));
       node = inserted;
     }
@@ -312,78 +315,56 @@ int64_t PrefixCachingAllocator::DrainCache() {
 }
 
 std::string PrefixCachingAllocator::AuditInvariants() const {
-  std::ostringstream out;
   // Expected refcount of every block: table references plus one per index
   // node plus one per pinned node. Mirrors the base audit with the two cache
   // reference sources added.
-  std::vector<int32_t> expected(refcount_.size(), 0);
-  for (const auto& [id, state] : tables_) {
-    int64_t needed = BlocksForTokens(state.num_tokens);
-    if (static_cast<int64_t>(state.blocks.size()) != needed) {
-      out << "seq " << id << ": " << state.num_tokens << " tokens need " << needed
-          << " blocks but the table holds " << state.blocks.size();
-      return out.str();
-    }
-    for (int64_t block : state.blocks) {
-      if (block < 0 || block >= options_.num_blocks) {
-        out << "seq " << id << ": block id " << block << " out of range [0, "
-            << options_.num_blocks << ")";
-        return out.str();
-      }
-      ++expected[static_cast<size_t>(block)];
-    }
+  std::vector<int32_t> expected;
+  if (std::string audit = CountTableRefs(expected); !audit.empty()) {
+    return audit;
   }
-  std::vector<int32_t> pinned(refcount_.size(), 0);
+  std::ostringstream out;
+  if (node_of_block_.size() > expected.size()) {
+    out << "block -> node table spans " << node_of_block_.size()
+        << " ids, beyond the high-water mark " << expected.size();
+    return out.str();
+  }
+  std::vector<int32_t> pinned(expected.size(), 0);
   for (const auto& [id, pin] : pins_) {
     for (const Node* node : pin.nodes) {
+      if (std::string bad = CheckBlockId(node->block); !bad.empty()) {
+        out << "seq " << id << ": pinned " << bad;
+        return out.str();
+      }
       ++expected[static_cast<size_t>(node->block)];
       ++pinned[static_cast<size_t>(node->block)];
     }
   }
-  std::vector<bool> on_free_list(refcount_.size(), false);
-  for (int64_t block : free_list_) {
-    if (block < 0 || block >= options_.num_blocks) {
-      out << "free list holds out-of-range block id " << block;
-      return out.str();
-    }
-    if (on_free_list[static_cast<size_t>(block)]) {
-      out << "block " << block << " appears twice on the free list";
-      return out.str();
-    }
-    on_free_list[static_cast<size_t>(block)] = true;
-  }
   // The index's own references are read off the block -> node table, which
   // AuditCache checks against the trie (every node, and nothing else, mapped).
-  for (int64_t b = 0; b < options_.num_blocks; ++b) {
-    auto i = static_cast<size_t>(b);
-    const Node* node = node_of_block_[i];
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Node* node = NodeOf(static_cast<int64_t>(i));
     if (node != nullptr) {
+      if (node->block != static_cast<int64_t>(i)) {
+        std::string bad = CheckBlockId(node->block);
+        out << "block -> node table maps block " << i << " to the node of "
+            << (bad.empty() ? "block " + std::to_string(node->block) : bad);
+        return out.str();
+      }
       ++expected[i];
     }
     // The per-node pin counts back CacheRefs, which the checker's per-batch
     // audit trusts; recount them from the pins themselves.
     if ((node == nullptr ? 0 : node->pins) != pinned[i]) {
-      out << "block " << b << ": node counts " << (node == nullptr ? 0 : node->pins)
+      out << "block " << i << ": node counts " << (node == nullptr ? 0 : node->pins)
           << " pins but " << pinned[i] << " pins hold it";
       return out.str();
     }
-    if (refcount_[i] != expected[i]) {
-      out << "block " << b << ": refcount " << refcount_[i] << " but " << expected[i]
-          << " references (tables + index + pins)"
-          << (expected[i] == 0 ? " (leaked block)" : "");
-      return out.str();
-    }
-    if ((refcount_[i] == 0) != on_free_list[i]) {
-      out << "block " << b << ": refcount " << refcount_[i]
-          << (on_free_list[i] ? " yet on the free list" : " yet missing from the free list");
-      return out.str();
-    }
   }
-  return "";
+  return AuditRefcounts(expected, "references (tables + index + pins)");
 }
 
 int32_t PrefixCachingAllocator::CacheRefs(int64_t block) const {
-  const Node* node = node_of_block_[static_cast<size_t>(block)];
+  const Node* node = NodeOf(block);
   return node == nullptr ? 0 : 1 + node->pins;
 }
 
@@ -404,11 +385,10 @@ std::string PrefixCachingAllocator::AuditCache() const {
     stack.pop_back();
     for (const auto& [key, child] : node->children) {
       ++nodes;
-      if (child->block < 0 || child->block >= options_.num_blocks) {
-        out << "cached node holds out-of-range block id " << child->block;
-        return out.str();
+      if (std::string bad = CheckBlockId(child->block); !bad.empty()) {
+        return "cached node holds " + bad;
       }
-      if (node_of_block_[static_cast<size_t>(child->block)] != child.get()) {
+      if (NodeOf(child->block) != child.get()) {
         out << "block -> node table does not map cached block " << child->block
             << " to its node (missing, or the block is cached twice)";
         return out.str();
@@ -462,7 +442,7 @@ std::string PrefixCachingAllocator::AuditCache() const {
   // Every set entry is a live evictable leaf under its own stamp; with the
   // size equal to the recount, the set holds exactly the evictable leaves.
   for (const auto& [stamp, node] : evictable_leaves_) {
-    if (node_of_block_[static_cast<size_t>(node->block)] != node) {
+    if (NodeOf(node->block) != node) {
       out << "eviction set holds a node for block " << node->block
           << " that the index no longer caches";
       return out.str();

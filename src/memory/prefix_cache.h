@@ -56,6 +56,9 @@
 namespace sarathi {
 
 class PrefixCachingAllocator final : public PagedBlockManager {
+  // Tests corrupt the index and pool behind the self-audits' back.
+  friend class PrefixCacheCorrupter;
+
  public:
   struct CacheStats {
     int64_t lookups = 0;          // PinPrefix calls.
@@ -134,14 +137,20 @@ class PrefixCachingAllocator final : public PagedBlockManager {
     return node->children.empty() && refcount_[static_cast<size_t>(node->block)] == 1;
   }
   void OnSoleReferenceChanged(int64_t block, bool sole) override;
+  // The node caching `block`, or null (also for ids the table never grew to).
+  Node* NodeOf(int64_t block) const {
+    auto slot = static_cast<size_t>(block);
+    return slot < node_of_block_.size() ? node_of_block_[slot] : nullptr;
+  }
   int64_t WatermarkBlocks() const;
 
   Node root_;
   int64_t cached_count_ = 0;
   uint64_t stamp_counter_ = 0;
-  // Eviction index: the node caching each block (null when uncached), the
-  // number of cached nodes whose block refcount is 1, and those of them
-  // without children ordered by stamp (begin() is the LRU victim).
+  // Eviction index: the node caching each block (null when uncached; grown
+  // on retention, never past the pool's high-water mark), the number of
+  // cached nodes whose block refcount is 1, and those of them without
+  // children ordered by stamp (begin() is the LRU victim).
   std::vector<Node*> node_of_block_;
   int64_t sole_ref_nodes_ = 0;
   std::map<uint64_t, Node*> evictable_leaves_;

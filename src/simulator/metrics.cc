@@ -28,13 +28,8 @@ std::string_view FailureKindName(FailureKind kind) {
 
 std::vector<double> RequestMetrics::TbtSamples() const {
   std::vector<double> samples;
-  if (token_times_s.size() < 2) {
-    return samples;
-  }
-  samples.reserve(token_times_s.size() - 1);
-  for (size_t i = 1; i < token_times_s.size(); ++i) {
-    samples.push_back(token_times_s[i] - token_times_s[i - 1]);
-  }
+  samples.reserve(NumTbtSamples());
+  ForEachTbt([&](double gap) { samples.push_back(gap); });
   return samples;
 }
 
@@ -52,7 +47,7 @@ Summary SimResult::TtftSummary() const {
 Summary SimResult::TbtSummary() const {
   Summary summary;
   for (const auto& r : requests) {
-    summary.AddAll(r.TbtSamples());
+    r.ForEachTbt([&](double gap) { summary.Add(gap); });
   }
   return summary;
 }
@@ -79,8 +74,19 @@ Summary SimResult::LatencySummary() const {
 }
 
 double SimResult::P99Tbt() const {
-  Summary summary = TbtSummary();
-  return summary.empty() ? 0.0 : summary.Quantile(0.99);
+  size_t total = 0;
+  for (const auto& r : requests) {
+    total += r.NumTbtSamples();
+  }
+  if (total == 0) {
+    return 0.0;
+  }
+  std::vector<double> gaps;
+  gaps.reserve(total);
+  for (const auto& r : requests) {
+    r.ForEachTbt([&](double gap) { gaps.push_back(gap); });
+  }
+  return SelectQuantile(gaps, 0.99);
 }
 
 double SimResult::MedianTtft() const {
@@ -127,9 +133,7 @@ double SimResult::RequestThroughput() const {
 int64_t SimResult::CountStalls(double threshold_s) const {
   int64_t stalls = 0;
   for (const auto& r : requests) {
-    for (double tbt : r.TbtSamples()) {
-      stalls += tbt > threshold_s ? 1 : 0;
-    }
+    r.ForEachTbt([&](double tbt) { stalls += tbt > threshold_s ? 1 : 0; });
   }
   return stalls;
 }
@@ -206,13 +210,11 @@ double SimResult::SloAttainment(double ttft_slo_s, double tbt_slo_s) const {
     if (r.Ttft() > ttft_slo_s) {
       continue;
     }
-    bool ok = true;
-    for (double tbt : r.TbtSamples()) {
-      if (tbt > tbt_slo_s) {
-        ok = false;
-        break;
-      }
-    }
+    // Attained unless some gap between consecutive tokens exceeds the SLO.
+    bool ok = std::adjacent_find(r.token_times_s.begin(), r.token_times_s.end(),
+                                 [&](double prev, double next) {
+                                   return next - prev > tbt_slo_s;
+                                 }) == r.token_times_s.end();
     attained += ok ? 1 : 0;
   }
   return completed == 0 ? 0.0 : static_cast<double>(attained) / static_cast<double>(completed);
@@ -221,9 +223,7 @@ double SimResult::SloAttainment(double ttft_slo_s, double tbt_slo_s) const {
 double SimResult::MaxTbt() const {
   double max_tbt = 0.0;
   for (const auto& r : requests) {
-    for (double tbt : r.TbtSamples()) {
-      max_tbt = std::max(max_tbt, tbt);
-    }
+    r.ForEachTbt([&](double tbt) { max_tbt = std::max(max_tbt, tbt); });
   }
   return max_tbt;
 }

@@ -36,11 +36,12 @@ void WriteRequestMetricsCsv(const SimResult& result, std::ostream& out) {
   out << "id,arrival_s,scheduling_delay_s,ttft_s,completion_s,latency_s,num_tokens,"
          "p99_tbt_s,max_tbt_s,preemptions,deadline_s,failed_s,failure,retries,"
          "wasted_tokens,hedges,migrations,cached_prefill_tokens\n";
+  std::vector<double> tbt;  // One request's gaps; reused across rows.
   for (const RequestMetrics& r : result.requests) {
-    Summary tbt;
-    tbt.AddAll(r.TbtSamples());
-    double p99 = tbt.empty() ? 0.0 : tbt.Quantile(0.99);
-    double max_tbt = tbt.empty() ? 0.0 : tbt.Max();
+    tbt.clear();
+    r.ForEachTbt([&](double gap) { tbt.push_back(gap); });
+    double max_tbt = tbt.empty() ? 0.0 : *std::max_element(tbt.begin(), tbt.end());
+    double p99 = tbt.empty() ? 0.0 : SelectQuantile(tbt, 0.99);
     double latency = r.completed() ? r.completion_s - r.arrival_s : -1.0;
     out << r.id << ',' << r.arrival_s << ',' << r.SchedulingDelay() << ',' << r.Ttft() << ','
         << r.completion_s << ',' << latency << ',' << r.token_times_s.size() << ',' << p99
@@ -53,10 +54,8 @@ void WriteRequestMetricsCsv(const SimResult& result, std::ostream& out) {
 void WriteTbtSamplesCsv(const SimResult& result, std::ostream& out) {
   out << "request_id,token_index,tbt_s\n";
   for (const RequestMetrics& r : result.requests) {
-    std::vector<double> samples = r.TbtSamples();
-    for (size_t i = 0; i < samples.size(); ++i) {
-      out << r.id << ',' << i + 1 << ',' << samples[i] << '\n';
-    }
+    size_t index = 0;
+    r.ForEachTbt([&](double gap) { out << r.id << ',' << ++index << ',' << gap << '\n'; });
   }
 }
 

@@ -178,19 +178,28 @@ void InvariantChecker::BeginRun(const Scheduler* scheduler, const KvAllocator* a
   enqueue_counter_ = 0;
   live_kv_.clear();
   // The mirror starts from an empty pool: the driver attaches the checker to
-  // a fresh allocator.
+  // a fresh allocator. Its per-block arrays grow with the blocks the run
+  // touches (TouchBlock), like the allocator's own state.
   paged_ = dynamic_cast<const PagedBlockManager*>(allocator);
-  auto blocks = static_cast<size_t>(paged_ == nullptr ? 0 : paged_->num_blocks());
-  table_refs_.assign(blocks, 0);
-  touched_.assign(blocks, 0);
-  referenced_.assign(blocks, 0);
+  table_refs_.clear();
+  touched_.clear();
+  referenced_.clear();
   touched_blocks_.clear();
   referenced_blocks_ = 0;
   ++runs_;
 }
 
+bool InvariantChecker::InPool(int64_t block) const {
+  return block >= 0 && block < paged_->num_blocks();
+}
+
 void InvariantChecker::TouchBlock(int64_t block) {
   auto i = static_cast<size_t>(block);
+  if (i >= touched_.size()) {
+    table_refs_.resize(i + 1, 0);
+    touched_.resize(i + 1, 0);
+    referenced_.resize(i + 1, 0);
+  }
   if (touched_[i] == 0) {
     touched_[i] = 1;
     touched_blocks_.push_back(block);
@@ -198,7 +207,7 @@ void InvariantChecker::TouchBlock(int64_t block) {
 }
 
 void InvariantChecker::OnKvBlockRef(int64_t block) {
-  if (InPool(block)) {
+  if (paged_ != nullptr && InPool(block)) {
     TouchBlock(block);
   }
 }
@@ -221,7 +230,7 @@ void InvariantChecker::SyncTable(int64_t id, std::vector<int64_t>& mirror, size_
     if (i < table.size() && !InPool(new_block)) {
       std::ostringstream out;
       out << "seq " << id << ": block id " << new_block << " out of range [0, "
-          << table_refs_.size() << ")";
+          << paged_->num_blocks() << ")";
       AddViolation(Invariant::kKvConservation, id, out.str());
     }
     int64_t old_block = mirror[i];
@@ -234,8 +243,8 @@ void InvariantChecker::SyncTable(int64_t id, std::vector<int64_t>& mirror, size_
       TouchBlock(old_block);
     }
     if (InPool(new_block)) {
+      TouchBlock(new_block);  // Grows the arrays to cover the block.
       ++table_refs_[static_cast<size_t>(new_block)];
-      TouchBlock(new_block);
     }
   }
   mirror.resize(table.size());

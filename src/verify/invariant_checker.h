@@ -270,9 +270,8 @@ class InvariantChecker final : public VerifyHook {
   // the sequence's block arithmetic.
   void SyncTable(int64_t id, std::vector<int64_t>& mirror, size_t from);
   void TouchBlock(int64_t block);
-  bool InPool(int64_t block) const {
-    return block >= 0 && block < static_cast<int64_t>(table_refs_.size());
-  }
+  // Any id of the allocator's pool, allocated yet or not.
+  bool InPool(int64_t block) const;
   // Keeps waiting_batch_ in step with a shadow's waiting/lane state; call
   // after changing either.
   void IndexWaiting(Shadow& shadow);
@@ -312,7 +311,9 @@ class InvariantChecker final : public VerifyHook {
   const PagedBlockManager* paged_ = nullptr;
   // Per physical block: references from mirrored tables, whether it is
   // queued in touched_blocks_, and whether its refcount was > 0 when last
-  // audited (their sum is referenced_blocks_).
+  // audited (their sum is referenced_blocks_). Sized to the highest block id
+  // touched so far, not to the pool: a block no event ever named has no
+  // references and no slot.
   std::vector<int32_t> table_refs_;
   std::vector<uint8_t> touched_;
   std::vector<uint8_t> referenced_;

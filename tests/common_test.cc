@@ -1,7 +1,11 @@
 // Unit tests for src/common: statistics, RNG, status, table rendering.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +14,7 @@
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
+#include "src/simulator/metrics.h"
 
 namespace sarathi {
 namespace {
@@ -56,6 +61,109 @@ TEST(SummaryTest, QuantileIsMonotone) {
     double cur = s.Quantile(q);
     EXPECT_GE(cur, prev);
     prev = cur;
+  }
+}
+
+// Bit-for-bit equality (EXPECT_EQ on doubles would also pass -0.0 == 0.0).
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// Random samples with heavy ties: values drawn from a few distinct levels
+// half of the time, so selection and sorting must agree on duplicates.
+std::vector<double> RandomSamples(Rng& rng, size_t n) {
+  std::vector<double> samples(n);
+  for (double& sample : samples) {
+    sample = rng.UniformInt(0, 1) == 0 ? static_cast<double>(rng.UniformInt(0, 3)) * 0.25
+                                       : rng.Uniform(0.0, 1.0);
+  }
+  return samples;
+}
+
+TEST(SelectQuantileTest, MatchesSortedSummaryBitForBit) {
+  Rng rng(17);
+  const double kQs[] = {0.0, 0.5, 0.99, 1.0, 0.25, 0.9};
+  for (int trial = 0; trial < 400; ++trial) {
+    // n = 1 and 2 on the first trials, then random sizes.
+    size_t n = trial < 2 ? static_cast<size_t>(trial + 1)
+                         : static_cast<size_t>(rng.UniformInt(1, 300));
+    std::vector<double> samples = RandomSamples(rng, n);
+    Summary summary;
+    summary.AddAll(samples);
+    for (double q : kQs) {
+      std::vector<double> scratch = samples;
+      double selected = SelectQuantile(scratch, q);
+      double sorted = summary.Quantile(q);
+      ASSERT_TRUE(SameBits(selected, sorted))
+          << "n " << n << " q " << q << ": selected " << selected << " sorted " << sorted;
+    }
+  }
+}
+
+// A SimResult of random requests, including ones with 0 and 1 output tokens
+// (no gaps) and some that never completed.
+SimResult RandomResult(Rng& rng) {
+  SimResult result;
+  auto requests = rng.UniformInt(1, 40);
+  for (int64_t i = 0; i < requests; ++i) {
+    RequestMetrics r;
+    r.id = i;
+    r.arrival_s = rng.Uniform(0.0, 10.0);
+    auto tokens = rng.UniformInt(0, 3) == 0 ? rng.UniformInt(0, 1) : rng.UniformInt(2, 60);
+    double t = r.arrival_s + rng.Uniform(0.0, 3.0);
+    for (int64_t k = 0; k < tokens; ++k) {
+      r.token_times_s.push_back(t);
+      // Repeated gaps (ties) as well as spread-out ones and rare stalls.
+      t += rng.UniformInt(0, 1) == 0 ? 0.05 : rng.Uniform(0.0, 0.2) * (k % 17 == 16 ? 5 : 1);
+    }
+    if (tokens > 0 && rng.UniformInt(0, 4) > 0) {
+      r.completion_s = r.token_times_s.back();
+    }
+    result.requests.push_back(std::move(r));
+  }
+  return result;
+}
+
+TEST(SimResultTbtTest, SummariesMatchTbtSamplesReference) {
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    SimResult result = RandomResult(rng);
+    std::vector<double> all;
+    for (const RequestMetrics& r : result.requests) {
+      std::vector<double> gaps = r.TbtSamples();
+      all.insert(all.end(), gaps.begin(), gaps.end());
+    }
+    Summary summary = result.TbtSummary();
+    ASSERT_EQ(summary.samples(), all) << "trial " << trial;
+    double p99 = result.P99Tbt();
+    ASSERT_TRUE(SameBits(p99, all.empty() ? 0.0 : summary.Quantile(0.99)))
+        << "trial " << trial << ": " << p99;
+    ASSERT_TRUE(SameBits(result.MaxTbt(), all.empty() ? 0.0 : std::max(0.0, summary.Max())))
+        << "trial " << trial;
+    for (double threshold : {0.0, 0.05, 0.1, 0.5}) {
+      auto stalls = std::count_if(all.begin(), all.end(),
+                                  [&](double gap) { return gap > threshold; });
+      ASSERT_EQ(result.CountStalls(threshold), stalls) << "trial " << trial;
+    }
+    for (double tbt_slo : {0.05, 0.15, std::numeric_limits<double>::infinity()}) {
+      double ttft_slo = 2.0;
+      int64_t completed = 0;
+      int64_t attained = 0;
+      for (const RequestMetrics& r : result.requests) {
+        if (!r.completed()) {
+          continue;
+        }
+        ++completed;
+        std::vector<double> gaps = r.TbtSamples();
+        bool ok = r.Ttft() <= ttft_slo &&
+                  std::none_of(gaps.begin(), gaps.end(),
+                               [&](double gap) { return gap > tbt_slo; });
+        attained += ok ? 1 : 0;
+      }
+      double want = completed == 0 ? 0.0
+                                   : static_cast<double>(attained) /
+                                         static_cast<double>(completed);
+      ASSERT_TRUE(SameBits(result.SloAttainment(ttft_slo, tbt_slo), want))
+          << "trial " << trial << " tbt slo " << tbt_slo;
+    }
   }
 }
 

@@ -3,12 +3,15 @@
 // with the allocator's own AuditInvariants() self-audit plus an independent
 // token-count model checked after every operation. Catches refcount drift,
 // free-list corruption, block leaks, and copy-on-write ops that reference
-// dead sequences or out-of-range blocks — across many seeds.
+// dead sequences or out-of-range blocks — across many seeds. Every run also
+// feeds an eager free-stack reference model: the lazily grown pool must hand
+// out block ids in exactly the order an up-front [N-1 ... 0] stack would.
 
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,8 +19,29 @@
 #include "src/common/rng.h"
 #include "src/memory/block_manager.h"
 #include "src/memory/prefix_cache.h"
+#include "src/obs/obs_hooks.h"
 
 namespace sarathi {
+
+// Rewrites block ids the prefix cache holds, behind its self-audits' back.
+class PrefixCacheCorrupter {
+ public:
+  explicit PrefixCacheCorrupter(PrefixCachingAllocator* cache) : cache_(cache) {}
+  // Each setter returns the id it replaced, so a test can put it back.
+  int64_t SetTableBlock(SeqId id, size_t index, int64_t block) {
+    return std::exchange(cache_->tables_.at(id).blocks.at(index), block);
+  }
+  int64_t SetFreeBlock(size_t index, int64_t block) {
+    return std::exchange(cache_->free_list_.at(index), block);
+  }
+  int64_t SetFirstCachedBlock(int64_t block) {
+    return std::exchange(cache_->root_.children.begin()->second->block, block);
+  }
+
+ private:
+  PrefixCachingAllocator* cache_;
+};
+
 namespace {
 
 constexpr int64_t kNumBlocks = 32;
@@ -38,6 +62,67 @@ std::optional<SeqId> PickLive(const Model& model, Rng& rng) {
   auto it = model.tokens.begin();
   std::advance(it, rng.UniformInt(0, static_cast<int64_t>(model.tokens.size()) - 1));
   return it->first;
+}
+
+// Reference model of the pool: a free stack filled with [N-1 ... 0] at
+// construction, popped to allocate, pushed whenever a block's refcount falls
+// to 0. Attached to a pool as its verify hook, it sees every
+// refcount change and predicts each allocated id; the lazy pool must hand out
+// exactly those.
+class EagerFreeStack final : public VerifyHook {
+ public:
+  explicit EagerFreeStack(PagedBlockManager* pool)
+      : pool_(pool), refcount_(static_cast<size_t>(pool->num_blocks()), 0) {
+    for (int64_t b = pool->num_blocks() - 1; b >= 0; --b) {
+      stack_.push_back(b);
+    }
+    hooks_.verify = this;
+    pool->set_obs(&hooks_);
+  }
+
+  void OnSchedulerEvent(SchedVerifyEvent, const RequestState*) override {}
+  void OnKvEvent(KvVerifyEvent, int64_t) override {}
+  void OnKvBlockRef(int64_t block) override {
+    int32_t now = pool_->BlockRefCount(block);
+    int32_t& before = refcount_.at(static_cast<size_t>(block));
+    if (before == 0 && now > 0) {  // Allocated.
+      if (stack_.empty() || stack_.back() != block) {
+        if (mismatch_.empty()) {
+          mismatch_ = "allocated block " + std::to_string(block) + " but the eager stack has " +
+                      (stack_.empty() ? std::string("nothing") : std::to_string(stack_.back())) +
+                      " on top";
+        }
+        std::erase(stack_, block);
+      } else {
+        stack_.pop_back();
+      }
+    } else if (before > 0 && now == 0) {  // Released.
+      stack_.push_back(block);
+    }
+    before = now;
+  }
+
+  // The first allocation that diverged from the eager order ("" if none).
+  const std::string& mismatch() const { return mismatch_; }
+  int64_t free_blocks() const { return static_cast<int64_t>(stack_.size()); }
+
+ private:
+  const PagedBlockManager* pool_;
+  std::vector<int32_t> refcount_;
+  std::vector<int64_t> stack_;
+  std::string mismatch_;
+  ObsHooks hooks_;
+};
+
+void CheckLazyPool(const PagedBlockManager& manager, const EagerFreeStack& reference,
+                   uint64_t seed, int op) {
+  ASSERT_EQ(reference.mismatch(), "") << "seed " << seed << " op " << op;
+  ASSERT_EQ(manager.free_blocks(), reference.free_blocks())
+      << "seed " << seed << " op " << op;
+  ASSERT_LE(manager.high_water_blocks(), manager.num_blocks());
+  for (int64_t b = manager.high_water_blocks(); b < manager.num_blocks(); ++b) {
+    ASSERT_EQ(manager.BlockRefCount(b), 0) << "seed " << seed << " op " << op;
+  }
 }
 
 void CheckConsistent(const PagedBlockManager& manager, const Model& model,
@@ -64,6 +149,7 @@ void RunSeed(uint64_t seed, int64_t sliding_window) {
   options.watermark = 0.0;
   options.sliding_window = sliding_window;
   PagedBlockManager manager(options);
+  EagerFreeStack reference(&manager);
 
   Rng rng(seed);
   Model model;
@@ -146,6 +232,7 @@ void RunSeed(uint64_t seed, int64_t sliding_window) {
       ASSERT_EQ(manager.BlockRefCount(cow.new_block), 1);
     }
     CheckConsistent(manager, model, seed, op);
+    CheckLazyPool(manager, reference, seed, op);
   }
 
   // Releasing everything must return the pool to pristine state: zero leaks.
@@ -157,6 +244,7 @@ void RunSeed(uint64_t seed, int64_t sliding_window) {
   ASSERT_EQ(manager.used_blocks(), 0);
   ASSERT_EQ(manager.free_blocks(), kNumBlocks);
   ASSERT_EQ(manager.num_sequences(), 0);
+  CheckLazyPool(manager, reference, seed, kOpsPerSeed);
 }
 
 TEST(PagedBlockManagerPropertyTest, RandomOpsKeepInvariants) {
@@ -243,6 +331,7 @@ void RunPrefixSeed(uint64_t seed) {
   options.block_size = kBlockSize;
   options.watermark = 0.0;
   PrefixCachingAllocator manager(options);
+  EagerFreeStack reference(&manager);
 
   Rng rng(seed);
   CacheModel model;
@@ -358,6 +447,7 @@ void RunPrefixSeed(uint64_t seed) {
       }
     }
     CheckCacheConsistent(manager, model, seed, op);
+    CheckLazyPool(manager, reference, seed, op);
   }
 
   // Teardown mirrors end-of-run: drop every queued pin, finish every live
@@ -378,6 +468,7 @@ void RunPrefixSeed(uint64_t seed) {
   ASSERT_EQ(manager.free_blocks(), kNumBlocks) << "seed " << seed;
   ASSERT_EQ(manager.cached_blocks(), 0) << "seed " << seed;
   ASSERT_EQ(manager.num_sequences(), 0) << "seed " << seed;
+  CheckLazyPool(manager, reference, seed, kPrefixOpsPerSeed);
 }
 
 TEST(PrefixCachePropertyTest, RandomOpsKeepInvariants) {
@@ -546,6 +637,120 @@ TEST(PrefixCachePropertyTest, EvictsLeastRecentlyTouchedLeafFirst) {
     EXPECT_EQ(manager.BlockTable(3)[0], x) << "X's block went to the new request";
     EXPECT_EQ(manager.BlockRefCount(y), 1);
     EXPECT_EQ(manager.cached_blocks(), 1);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy pool: block ids come from a high-water counter, the free list holds
+// only released blocks, and per-block state exists only below the mark.
+// ---------------------------------------------------------------------------
+
+PagedBlockManager::Options SmallPool() {
+  PagedBlockManager::Options options;
+  options.num_blocks = kNumBlocks;
+  options.block_size = kBlockSize;
+  options.watermark = 0.0;
+  return options;
+}
+
+TEST(LazyPoolTest, EveryBlockIsAccountedForFromConstruction) {
+  PagedBlockManager plain(SmallPool());
+  PrefixCachingAllocator cached(SmallPool());
+  for (const PagedBlockManager* pool : {static_cast<const PagedBlockManager*>(&plain),
+                                        static_cast<const PagedBlockManager*>(&cached)}) {
+    EXPECT_EQ(pool->high_water_blocks(), 0);
+    EXPECT_EQ(pool->free_blocks(), kNumBlocks);
+    EXPECT_EQ(pool->used_blocks(), 0);
+    EXPECT_EQ(pool->free_blocks() + pool->used_blocks(), kNumBlocks);
+    EXPECT_EQ(pool->BlockRefCount(0), 0);
+    EXPECT_EQ(pool->BlockRefCount(kNumBlocks - 1), 0);
+    EXPECT_EQ(pool->AuditInvariants(), "");
+    EXPECT_EQ(pool->AuditCache(), "");
+  }
+}
+
+TEST(LazyPoolTest, ReleasedBlocksAreReusedBeforeFreshOnes) {
+  PagedBlockManager pool(SmallPool());
+  pool.Admit(0, 2 * kBlockSize, 2 * kBlockSize);
+  pool.Admit(1, kBlockSize, kBlockSize);
+  EXPECT_EQ(pool.BlockTable(0), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(pool.BlockTable(1), (std::vector<int64_t>{2}));
+  EXPECT_EQ(pool.high_water_blocks(), 3);
+  EXPECT_EQ(pool.BlockRefCount(3), 0);  // Never allocated.
+  pool.Release(0);  // Pushes 0 then 1: 1 is on top.
+  EXPECT_EQ(pool.free_blocks() + pool.used_blocks(), kNumBlocks);
+  pool.Admit(2, 3 * kBlockSize, 3 * kBlockSize);
+  EXPECT_EQ(pool.BlockTable(2), (std::vector<int64_t>{1, 0, 3}));
+  EXPECT_EQ(pool.high_water_blocks(), 4);
+  EXPECT_EQ(pool.free_blocks(), kNumBlocks - 4);
+  EXPECT_EQ(pool.AuditInvariants(), "");
+}
+
+// Plain pool whose table and free-list ids can be rewritten.
+class CorruptiblePool : public PagedBlockManager {
+ public:
+  using PagedBlockManager::PagedBlockManager;
+  int64_t SetTableBlock(SeqId id, size_t index, int64_t block) {
+    return std::exchange(tables_.at(id).blocks.at(index), block);
+  }
+  int64_t SetFreeBlock(size_t index, int64_t block) {
+    return std::exchange(free_list_.at(index), block);
+  }
+};
+
+// Writes `bad` through `set` (which returns the old id), expects `audit` to
+// report `want`, then restores the old id and expects a clean audit.
+template <typename Set, typename Audit>
+void ExpectFlagged(Set set, Audit audit, int64_t bad, const std::string& want) {
+  int64_t old = set(bad);
+  std::string verdict = audit();
+  EXPECT_NE(verdict.find(want), std::string::npos) << "id " << bad << ": " << verdict;
+  set(old);
+  EXPECT_EQ(audit(), "");
+}
+
+TEST(LazyPoolTest, AuditFlagsIdsAtOrAboveTheHighWaterMark) {
+  {
+    CorruptiblePool pool(SmallPool());
+    pool.Admit(0, 2 * kBlockSize, 2 * kBlockSize);
+    pool.Admit(1, kBlockSize, kBlockSize);
+    pool.Release(1);  // The free list holds block 2.
+    ASSERT_EQ(pool.high_water_blocks(), 3);
+    auto audit = [&] { return pool.AuditInvariants(); };
+    for (int64_t bad : {int64_t{3}, kNumBlocks - 1}) {
+      std::string id = "block id " + std::to_string(bad) + " outside [0, 3)";
+      ExpectFlagged([&](int64_t b) { return pool.SetTableBlock(0, 1, b); }, audit, bad,
+                    "seq 0: " + id);
+      ExpectFlagged([&](int64_t b) { return pool.SetFreeBlock(0, b); }, audit, bad,
+                    "free list holds " + id);
+    }
+  }
+  {
+    PrefixCachingAllocator cache(SmallPool());
+    auto stream = std::make_shared<std::vector<int32_t>>(kBlockSize, 7);
+    ASSERT_EQ(cache.PinPrefix(0, stream, kBlockSize), 0);
+    cache.Admit(0, kBlockSize, kBlockSize);
+    cache.ReleaseFinished(0);  // Block 0 stays cached.
+    ASSERT_EQ(cache.PinPrefix(1, nullptr, 2 * kBlockSize), 0);
+    cache.Admit(1, 2 * kBlockSize, 2 * kBlockSize);  // Blocks 1 and 2.
+    ASSERT_EQ(cache.PinPrefix(2, nullptr, kBlockSize), 0);
+    cache.Admit(2, kBlockSize, kBlockSize);
+    cache.Release(2);  // The free list holds block 3.
+    ASSERT_EQ(cache.high_water_blocks(), 4);
+    ASSERT_EQ(cache.cached_blocks(), 1);
+    PrefixCacheCorrupter corrupt(&cache);
+    auto audit = [&] { return cache.AuditInvariants(); };
+    for (int64_t bad : {int64_t{4}, kNumBlocks - 1}) {
+      std::string id = "block id " + std::to_string(bad) + " outside [0, 4)";
+      ExpectFlagged([&](int64_t b) { return corrupt.SetTableBlock(1, 0, b); }, audit, bad,
+                    "seq 1: " + id);
+      ExpectFlagged([&](int64_t b) { return corrupt.SetFreeBlock(0, b); }, audit, bad,
+                    "free list holds " + id);
+      ExpectFlagged([&](int64_t b) { return corrupt.SetFirstCachedBlock(b); }, audit, bad,
+                    "maps block 0 to the node of " + id);
+      ExpectFlagged([&](int64_t b) { return corrupt.SetFirstCachedBlock(b); },
+                    [&] { return cache.AuditCache(); }, bad, "cached node holds " + id);
+    }
   }
 }
 

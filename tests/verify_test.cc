@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/core/serving_system.h"
 #include "src/memory/block_manager.h"
@@ -475,7 +476,10 @@ TEST(InvariantCheckerTest, InteractiveJumpPastAgedBatchRequestIsCaught) {
 class CorruptibleBlockManager : public PagedBlockManager {
  public:
   using PagedBlockManager::PagedBlockManager;
+  // Only blocks below the high-water mark have a refcount slot to corrupt.
   void CorruptRefcount(int64_t block, int32_t delta) {
+    CHECK_GE(block, 0);
+    CHECK_LT(block, high_water_blocks());
     refcount_[static_cast<size_t>(block)] += delta;
   }
 };
@@ -779,10 +783,13 @@ TEST(IncrementalKvAuditTest, CorruptUntouchedBlockIsCaughtAtEndOfRun) {
   CorruptibleBlockManager allocator(options);
   KvAuditRig rig(&allocator);
   allocator.Admit(1, 40, 64);
+  int64_t released = allocator.BlockTable(1)[1];
   ASSERT_FALSE(rig.Batch());
   allocator.Release(1);
   ASSERT_FALSE(rig.Batch());
-  allocator.CorruptRefcount(63, 1);  // A free block nobody touches again.
+  // A released block (below the high-water mark, so it has a refcount) that
+  // nobody touches again.
+  allocator.CorruptRefcount(released, 1);
   ASSERT_FALSE(rig.Batch());
   rig.checker().EndRun();
   ASSERT_EQ(rig.checker().total_violations(), 1) << rig.checker().Report();
