@@ -1,26 +1,11 @@
 #include "src/obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "src/common/logging.h"
 
 namespace sarathi {
-namespace {
-
-// Mirrors the tracer's JsonNumber: compact, locale-free, inf/nan clamped.
-void AppendJsonNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    value = 0.0;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  out << buffer;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(const Options& options) : dump_path_(options.dump_path) {
   CHECK_GT(options.capacity, 0);
@@ -115,51 +100,19 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
 }
 
 void FlightRecorder::WriteChromeTraceJson(std::ostream& out) const {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  ChromeTraceWriter writer(out);
   int64_t n = size();
   int64_t start = written_ - n;
   for (int64_t i = 0; i < n; ++i) {
     const FlightEvent& event = ring_[static_cast<size_t>((start + i) % capacity())];
-    if (i > 0) {
-      out << ',';
+    writer.BeginEvent(event.phase, event.pid, event.tid, event.ts_s, event.name, event.category,
+                      event.dur_s, event.id);
+    for (int a = 0; a < event.num_args; ++a) {
+      writer.NumberArg(event.args[a].key, event.args[a].value);
     }
-    out << "\n{\"ph\":\"" << static_cast<char>(event.phase) << "\",\"pid\":" << event.pid
-        << ",\"tid\":" << event.tid << ",\"ts\":";
-    AppendJsonNumber(out, event.ts_s * 1e6);
-    out << ",\"name\":\"" << JsonEscape(event.name) << '"';
-    if (event.category[0] != '\0') {
-      out << ",\"cat\":\"" << JsonEscape(event.category) << '"';
-    }
-    switch (event.phase) {
-      case TracePhase::kComplete:
-        out << ",\"dur\":";
-        AppendJsonNumber(out, event.dur_s * 1e6);
-        break;
-      case TracePhase::kInstant:
-        out << ",\"s\":\"t\"";
-        break;
-      case TracePhase::kAsyncBegin:
-      case TracePhase::kAsyncEnd:
-        out << ",\"id\":\"" << event.id << '"';
-        break;
-      case TracePhase::kCounter:
-      case TracePhase::kMetadata:
-        break;
-    }
-    if (event.num_args > 0) {
-      out << ",\"args\":{";
-      for (int a = 0; a < event.num_args; ++a) {
-        if (a > 0) {
-          out << ',';
-        }
-        out << '"' << JsonEscape(event.args[a].key) << "\":";
-        AppendJsonNumber(out, event.args[a].value);
-      }
-      out << '}';
-    }
-    out << '}';
+    writer.EndEvent();
   }
-  out << "\n]}\n";
+  writer.Finish();
 }
 
 Status FlightRecorder::WriteChromeTraceFile(const std::string& path) const {

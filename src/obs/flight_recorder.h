@@ -1,14 +1,13 @@
 // Always-on flight recorder: a fixed-capacity ring buffer of trace events
 // that is cheap enough to leave recording in every run.
 //
-// The Tracer is the full-fidelity recorder — and therefore allocates: every
-// Complete/Instant call builds std::strings and a std::vector of args, which
-// is exactly what the PR-5 hot-loop discipline forbids in steady state. The
-// flight recorder is its always-on sibling: events are plain-old-data structs
-// whose category/name/arg-key fields are pointers to string literals (static
-// storage, nothing copied), the ring is preallocated at construction, and
-// Record() is a struct write plus an index increment — zero allocations,
-// verified by the counting allocator in tests/allocation_test.cc.
+// The Tracer is the full-fidelity recorder: it keeps every event of a run,
+// so its buffer grows with the run. The flight recorder is its always-on
+// sibling: the same plain-old-data event shape (category/name/arg-key
+// fields are pointers to string literals, nothing copied), but in a ring
+// preallocated at construction, so Record() is a struct write plus an index
+// increment — zero allocations, ever, verified by the counting allocator in
+// tests/allocation_test.cc.
 //
 // When something goes wrong — an invariant-checker violation, an SLO burn
 // alert, an overload-ladder escalation to brownout/shed, a replica crash —

@@ -171,8 +171,9 @@ void SloMonitor::EmitAlert(int index, double now_s, double fast, double slow) {
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Instant("slo", "slo_burn_alert", now_s,
-                     {Arg("policy", policy.name), Arg("signal", SloSignalName(policy.signal)),
-                      Arg("fast_burn", fast), Arg("slow_burn", slow)});
+                     {Arg("policy", tracer_->Pool(policy.name)),
+                      Arg("signal", SloSignalName(policy.signal)), Arg("fast_burn", fast),
+                      Arg("slow_burn", slow)});
   }
   if (metrics_ != nullptr) {
     metrics_->AddCount("slo_alerts", now_s);

@@ -1,96 +1,204 @@
 #include "src/obs/tracer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <utility>
+
+#include "src/common/logging.h"
 
 namespace sarathi {
 namespace {
 
-// Renders a double compactly without locale surprises; JSON forbids inf/nan,
-// which never occur in simulation timestamps but are clamped defensively.
-std::string JsonNumber(double value) {
+// Pool chunk size; a longer string gets a chunk of its own.
+constexpr size_t kPoolChunkBytes = 16 * 1024;
+// Rendered JSON is handed to the stream in chunks of about this size.
+constexpr size_t kJsonFlushBytes = 256 * 1024;
+// Upper bound on the bytes one number or integer renders to.
+constexpr size_t kNumberRoom = 32;
+
+bool NeedsJsonEscape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+char* WriteLiteral(char* p, std::string_view literal) {
+  std::memcpy(p, literal.data(), literal.size());
+  return p + literal.size();
+}
+
+char* WriteInteger(char* p, int64_t value) {
+  return std::to_chars(p, p + kNumberRoom, value).ptr;
+}
+
+char* WriteJsonNumber(char* p, double value) {
   if (!std::isfinite(value)) {
     value = 0.0;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
-
-void WriteArgs(std::ostream& out, const std::vector<TraceArg>& args) {
-  out << "\"args\":{";
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) {
-      out << ',';
-    }
-    out << '"' << JsonEscape(args[i].key) << "\":";
-    if (args[i].is_number) {
-      out << JsonNumber(args[i].number);
-    } else {
-      out << '"' << JsonEscape(args[i].text) << '"';
+  // Fast path: "%.12g" prints an integer below 1e12 in magnitude as its
+  // digits (its exponent is under the precision), except -0 which keeps its
+  // sign. Token counts, ids and KV block counts all take this path.
+  if (value > -1e12 && value < 1e12) {
+    const int64_t integer = static_cast<int64_t>(value);
+    if (static_cast<double>(integer) == value && (integer != 0 || !std::signbit(value))) {
+      return WriteInteger(p, integer);
     }
   }
-  out << '}';
+  return std::to_chars(p, p + kNumberRoom, value, std::chars_format::general, 12).ptr;
+}
+
+// Worst case: every byte becomes a six-byte \u00XX escape.
+size_t EscapedRoom(std::string_view value) { return 6 * value.size(); }
+
+char* WriteJsonEscaped(char* p, std::string_view value) {
+  size_t clean = 0;
+  while (clean < value.size() && !NeedsJsonEscape(value[clean])) {
+    ++clean;
+  }
+  std::memcpy(p, value.data(), clean);
+  p += clean;
+  for (char c : value.substr(clean)) {
+    switch (c) {
+      case '"':
+        p = WriteLiteral(p, "\\\"");
+        break;
+      case '\\':
+        p = WriteLiteral(p, "\\\\");
+        break;
+      case '\n':
+        p = WriteLiteral(p, "\\n");
+        break;
+      case '\r':
+        p = WriteLiteral(p, "\\r");
+        break;
+      case '\t':
+        p = WriteLiteral(p, "\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          p = WriteLiteral(p, "\\u00");
+          *p++ = kHex[(c >> 4) & 0xf];
+          *p++ = kHex[c & 0xf];
+        } else {
+          *p++ = c;
+        }
+    }
+  }
+  return p;
 }
 
 }  // namespace
 
-TraceArg Arg(std::string key, std::string value) {
-  TraceArg arg;
-  arg.key = std::move(key);
-  arg.text = std::move(value);
-  return arg;
+std::string JsonEscape(std::string_view value) {
+  std::string escaped(EscapedRoom(value), '\0');
+  escaped.resize(static_cast<size_t>(WriteJsonEscaped(escaped.data(), value) - escaped.data()));
+  return escaped;
 }
 
-TraceArg Arg(std::string key, const char* value) { return Arg(std::move(key), std::string(value)); }
-
-TraceArg Arg(std::string key, double value) {
-  TraceArg arg;
-  arg.key = std::move(key);
-  arg.number = value;
-  arg.is_number = true;
-  return arg;
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& out)
+    : out_(out),
+      buffer_(std::make_unique_for_overwrite<char[]>(kJsonFlushBytes)),
+      capacity_(kJsonFlushBytes) {
+  Commit(WriteLiteral(Room(64), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
 }
 
-TraceArg Arg(std::string key, int64_t value) {
-  return Arg(std::move(key), static_cast<double>(value));
-}
-
-std::string JsonEscape(const std::string& value) {
-  std::string escaped;
-  escaped.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\r':
-        escaped += "\\r";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
+char* ChromeTraceWriter::Room(size_t n) {
+  if (size_ + n > capacity_) {
+    out_.write(buffer_.get(), static_cast<std::streamsize>(size_));
+    size_ = 0;
+    if (n > capacity_) {
+      buffer_ = std::make_unique_for_overwrite<char[]>(n);
+      capacity_ = n;
     }
   }
-  return escaped;
+  return buffer_.get() + size_;
+}
+
+void ChromeTraceWriter::BeginEvent(TracePhase phase, int pid, int tid, double ts_s,
+                                   const char* name, const char* category, double dur_s,
+                                   int64_t id) {
+  const std::string_view name_view(name);
+  const std::string_view category_view(category);
+  char* p = Room(128 + 4 * kNumberRoom + EscapedRoom(name_view) + EscapedRoom(category_view));
+  p = WriteLiteral(p, first_event_ ? "\n{\"ph\":\"" : ",\n{\"ph\":\"");
+  first_event_ = false;
+  first_arg_ = true;
+  *p++ = static_cast<char>(phase);
+  p = WriteLiteral(p, "\",\"pid\":");
+  p = WriteInteger(p, pid);
+  p = WriteLiteral(p, ",\"tid\":");
+  p = WriteInteger(p, tid);
+  p = WriteLiteral(p, ",\"ts\":");
+  p = WriteJsonNumber(p, ts_s * 1e6);
+  p = WriteLiteral(p, ",\"name\":\"");
+  p = WriteJsonEscaped(p, name_view);
+  *p++ = '"';
+  if (!category_view.empty()) {
+    p = WriteLiteral(p, ",\"cat\":\"");
+    p = WriteJsonEscaped(p, category_view);
+    *p++ = '"';
+  }
+  switch (phase) {
+    case TracePhase::kComplete:
+      p = WriteLiteral(p, ",\"dur\":");
+      p = WriteJsonNumber(p, dur_s * 1e6);
+      break;
+    case TracePhase::kInstant:
+      p = WriteLiteral(p, ",\"s\":\"t\"");  // Instant scoped to its thread track.
+      break;
+    case TracePhase::kAsyncBegin:
+    case TracePhase::kAsyncEnd:
+      p = WriteLiteral(p, ",\"id\":\"");
+      p = WriteInteger(p, id);
+      *p++ = '"';
+      break;
+    case TracePhase::kCounter:
+    case TracePhase::kMetadata:
+      break;
+  }
+  Commit(p);
+}
+
+char* ChromeTraceWriter::ArgKey(const char* key, size_t value_room) {
+  const std::string_view key_view(key);
+  char* p = Room(16 + EscapedRoom(key_view) + value_room);
+  p = WriteLiteral(p, first_arg_ ? ",\"args\":{\"" : ",\"");
+  first_arg_ = false;
+  p = WriteJsonEscaped(p, key_view);
+  return WriteLiteral(p, "\":");
+}
+
+void ChromeTraceWriter::NumberArg(const char* key, double value) {
+  Commit(WriteJsonNumber(ArgKey(key, kNumberRoom), value));
+}
+
+void ChromeTraceWriter::TextArg(const char* key, const char* text) {
+  const std::string_view text_view(text);
+  char* p = ArgKey(key, 2 + EscapedRoom(text_view));
+  *p++ = '"';
+  p = WriteJsonEscaped(p, text_view);
+  *p++ = '"';
+  Commit(p);
+}
+
+void ChromeTraceWriter::EndEvent() {
+  char* p = Room(2);
+  if (!first_arg_) {
+    *p++ = '}';
+  }
+  *p++ = '}';
+  Commit(p);
+}
+
+void ChromeTraceWriter::Finish() {
+  Commit(WriteLiteral(Room(8), "\n]}\n"));
+  out_.write(buffer_.get(), static_cast<std::streamsize>(size_));
+  size_ = 0;
 }
 
 Status EnsureParentDirectory(const std::string& path) {
@@ -106,120 +214,117 @@ Status EnsureParentDirectory(const std::string& path) {
   return Status::Ok();
 }
 
-void Tracer::SetProcessName(int pid, const std::string& name) {
+const char* Tracer::Pool(std::string_view text) {
   if (!enabled_) {
-    return;
+    return "";
   }
-  TraceEvent event;
-  event.phase = TracePhase::kMetadata;
-  event.name = "process_name";
-  event.pid = pid;
-  event.args.push_back(Arg("name", name));
-  events_.push_back(std::move(event));
+  const size_t need = text.size() + 1;
+  if (need > pool_left_) {
+    const size_t size = std::max(need, kPoolChunkBytes);
+    pool_chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
+    pool_next_ = pool_chunks_.back().get();
+    pool_left_ = size;
+  }
+  char* copy = pool_next_;
+  std::memcpy(copy, text.data(), text.size());
+  copy[text.size()] = '\0';
+  pool_next_ += need;
+  pool_left_ -= need;
+  return copy;
 }
 
-void Tracer::SetThreadName(int tid, const std::string& name) {
-  if (!enabled_) {
-    return;
-  }
-  TraceEvent event;
-  event.phase = TracePhase::kMetadata;
-  event.name = "thread_name";
+TraceEvent& Tracer::Record(TracePhase phase, const char* category, const char* name,
+                           double ts_s, std::initializer_list<TraceArg> args) {
+  TraceEvent& event = *new (events_.Extend(1)) TraceEvent();
+  event.phase = phase;
   event.pid = default_pid_;
-  event.tid = tid;
-  event.args.push_back(Arg("name", name));
-  events_.push_back(std::move(event));
+  event.category_cstr = category;
+  event.name_cstr = name;
+  event.ts_s = ts_s;
+  if (args.size() > 0) {
+    CHECK_LE(args.size(), size_t{UINT8_MAX});
+    TraceArg* slots = args_.Extend(args.size());
+    std::uninitialized_copy(args.begin(), args.end(), slots);
+    event.arg_data = slots;
+    event.num_args = static_cast<uint8_t>(args.size());
+  }
+  return event;
 }
 
-void Tracer::Complete(const std::string& category, const std::string& name, double start_s,
-                      double dur_s, int tid, std::vector<TraceArg> args) {
+void Tracer::SetProcessName(int pid, std::string_view name) {
   if (!enabled_) {
     return;
   }
-  TraceEvent event;
-  event.phase = TracePhase::kComplete;
-  event.category = category;
-  event.name = name;
-  event.ts_s = start_s;
+  Record(TracePhase::kMetadata, "", "process_name", 0.0, {Arg("name", Pool(name))}).pid = pid;
+}
+
+void Tracer::SetThreadName(int tid, std::string_view name) {
+  if (!enabled_) {
+    return;
+  }
+  Record(TracePhase::kMetadata, "", "thread_name", 0.0, {Arg("name", Pool(name))}).tid = tid;
+}
+
+void Tracer::Complete(const char* category, const char* name, double start_s, double dur_s,
+                      int tid, std::initializer_list<TraceArg> args) {
+  if (!enabled_) {
+    return;
+  }
+  TraceEvent& event = Record(TracePhase::kComplete, category, name, start_s, args);
   event.dur_s = dur_s;
-  event.pid = default_pid_;
   event.tid = tid;
-  event.args = std::move(args);
-  events_.push_back(std::move(event));
 }
 
-void Tracer::Instant(const std::string& category, const std::string& name, double ts_s,
-                     std::vector<TraceArg> args) {
+void Tracer::Instant(const char* category, const char* name, double ts_s,
+                     std::initializer_list<TraceArg> args) {
   if (!enabled_) {
     return;
   }
-  TraceEvent event;
-  event.phase = TracePhase::kInstant;
-  event.category = category;
-  event.name = name;
-  event.ts_s = ts_s;
-  event.pid = default_pid_;
-  event.args = std::move(args);
-  events_.push_back(std::move(event));
+  Record(TracePhase::kInstant, category, name, ts_s, args);
 }
 
-void Tracer::InstantNow(const std::string& category, const std::string& name,
-                        std::vector<TraceArg> args) {
-  Instant(category, name, now_s_, std::move(args));
-}
-
-void Tracer::Counter(const std::string& category, const std::string& name, double ts_s,
-                     double value) {
+void Tracer::Counter(const char* category, const char* name, double ts_s, double value) {
   if (!enabled_) {
     return;
   }
-  TraceEvent event;
-  event.phase = TracePhase::kCounter;
-  event.category = category;
-  event.name = name;
-  event.ts_s = ts_s;
-  event.pid = default_pid_;
-  event.value = value;
-  events_.push_back(std::move(event));
+  Record(TracePhase::kCounter, category, name, ts_s, {}).value = value;
 }
 
-void Tracer::AsyncBegin(const std::string& category, const std::string& name, int64_t id,
-                        double ts_s, std::vector<TraceArg> args) {
+void Tracer::AsyncBegin(const char* category, const char* name, int64_t id, double ts_s,
+                        std::initializer_list<TraceArg> args) {
   if (!enabled_) {
     return;
   }
-  TraceEvent event;
-  event.phase = TracePhase::kAsyncBegin;
-  event.category = category;
-  event.name = name;
-  event.ts_s = ts_s;
-  event.pid = default_pid_;
-  event.id = id;
-  event.args = std::move(args);
-  events_.push_back(std::move(event));
+  Record(TracePhase::kAsyncBegin, category, name, ts_s, args).id = id;
 }
 
-void Tracer::AsyncEnd(const std::string& category, const std::string& name, int64_t id,
-                      double ts_s, std::vector<TraceArg> args) {
+void Tracer::AsyncEnd(const char* category, const char* name, int64_t id, double ts_s,
+                      std::initializer_list<TraceArg> args) {
   if (!enabled_) {
     return;
   }
-  TraceEvent event;
-  event.phase = TracePhase::kAsyncEnd;
-  event.category = category;
-  event.name = name;
-  event.ts_s = ts_s;
-  event.pid = default_pid_;
-  event.id = id;
-  event.args = std::move(args);
-  events_.push_back(std::move(event));
+  Record(TracePhase::kAsyncEnd, category, name, ts_s, args).id = id;
 }
 
-void Tracer::Append(const Tracer& other) {
+void Tracer::Append(Tracer&& other) {
   if (!enabled_) {
     return;
   }
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
+  events_.Splice(std::move(other.events_));
+  args_.Splice(std::move(other.args_));
+  // Chunks own the pooled bytes by pointer, so moving them keeps every
+  // appended event's names valid; this tracer keeps filling its own chunk.
+  pool_chunks_.insert(pool_chunks_.end(), std::make_move_iterator(other.pool_chunks_.begin()),
+                      std::make_move_iterator(other.pool_chunks_.end()));
+  other.Clear();
+}
+
+void Tracer::Clear() {
+  events_.Clear();
+  args_.Clear();
+  pool_chunks_.clear();
+  pool_next_ = nullptr;
+  pool_left_ = 0;
 }
 
 std::vector<const TraceEvent*> Tracer::EventsWithPhase(TracePhase phase) const {
@@ -233,60 +338,80 @@ std::vector<const TraceEvent*> Tracer::EventsWithPhase(TracePhase phase) const {
 }
 
 void Tracer::WriteChromeTraceJson(std::ostream& out) const {
-  // Metadata first, then time order; stable so same-timestamp events keep
-  // their recording order (begin before end, begin before nested begin).
-  std::vector<const TraceEvent*> ordered;
-  ordered.reserve(events_.size());
+  // Metadata first in recording order, then the rest by time, with equal
+  // times in recording order (begin before end, begin before nested begin).
+  // Recording order is nearly time order (a replica's 87k-event trace has
+  // under 100 descents; a cluster trace is one run per replica), so the
+  // ascending runs of recording order are merged pairwise: O(n log runs),
+  // and stable, since each merge takes ties from the earlier run first. A
+  // NaN time sorts as the 0 it prints as, which keeps the order strict.
+  struct Key {
+    double ts_s;
+    const TraceEvent* event;
+  };
+  std::vector<Key> order;
+  order.reserve(events_.size());
   for (const TraceEvent& event : events_) {
     if (event.phase == TracePhase::kMetadata) {
-      ordered.push_back(&event);
+      order.push_back(Key{0.0, &event});
     }
   }
-  size_t num_metadata = ordered.size();
+  const size_t num_metadata = order.size();
+  std::vector<size_t> runs;  // Start of each ascending run, then the end.
   for (const TraceEvent& event : events_) {
     if (event.phase != TracePhase::kMetadata) {
-      ordered.push_back(&event);
+      const Key key{std::isnan(event.ts_s) ? 0.0 : event.ts_s, &event};
+      if (order.size() == num_metadata || key.ts_s < order.back().ts_s) {
+        runs.push_back(order.size());
+      }
+      order.push_back(key);
     }
   }
-  std::stable_sort(ordered.begin() + static_cast<long>(num_metadata), ordered.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) { return a->ts_s < b->ts_s; });
+  runs.push_back(order.size());
+  std::vector<Key> merged(order.size());
+  auto by_time = [](const Key& a, const Key& b) { return a.ts_s < b.ts_s; };
+  while (runs.size() > 2) {
+    std::vector<size_t> next;
+    for (size_t r = 0; r + 1 < runs.size(); r += 2) {
+      const auto first = order.begin() + static_cast<std::ptrdiff_t>(runs[r]);
+      const auto middle = order.begin() + static_cast<std::ptrdiff_t>(runs[r + 1]);
+      const auto last = r + 2 < runs.size()
+                            ? order.begin() + static_cast<std::ptrdiff_t>(runs[r + 2])
+                            : middle;
+      std::merge(first, middle, middle, last,
+                 merged.begin() + static_cast<std::ptrdiff_t>(runs[r]), by_time);
+      next.push_back(runs[r]);
+    }
+    next.push_back(order.size());
+    std::copy(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(num_metadata),
+              merged.begin());
+    order.swap(merged);
+    runs.swap(next);
+  }
 
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  for (size_t i = 0; i < ordered.size(); ++i) {
-    const TraceEvent& event = *ordered[i];
-    if (i > 0) {
-      out << ",";
+  ChromeTraceWriter writer(out);
+  for (const Key& key : order) {
+    const TraceEvent& event = *key.event;
+    const bool async =
+        event.phase == TracePhase::kAsyncBegin || event.phase == TracePhase::kAsyncEnd;
+    writer.BeginEvent(event.phase, event.pid, event.tid, event.ts_s, event.name_cstr,
+                      event.category_cstr,
+                      event.phase == TracePhase::kComplete ? event.dur_s : 0.0,
+                      async ? event.id : 0);
+    if (event.phase == TracePhase::kCounter) {
+      writer.NumberArg("value", event.value);
+    } else {
+      for (const TraceArg& arg : event.args()) {
+        if (arg.is_number()) {
+          writer.NumberArg(arg.key, arg.number);
+        } else {
+          writer.TextArg(arg.key, arg.text);
+        }
+      }
     }
-    out << "\n{\"ph\":\"" << static_cast<char>(event.phase) << "\",\"pid\":" << event.pid
-        << ",\"tid\":" << event.tid << ",\"ts\":" << JsonNumber(event.ts_s * 1e6);
-    out << ",\"name\":\"" << JsonEscape(event.name) << '"';
-    if (!event.category.empty()) {
-      out << ",\"cat\":\"" << JsonEscape(event.category) << '"';
-    }
-    switch (event.phase) {
-      case TracePhase::kComplete:
-        out << ",\"dur\":" << JsonNumber(event.dur_s * 1e6);
-        break;
-      case TracePhase::kInstant:
-        out << ",\"s\":\"t\"";  // Instant scoped to its thread track.
-        break;
-      case TracePhase::kCounter:
-        out << ",\"args\":{\"value\":" << JsonNumber(event.value) << '}';
-        break;
-      case TracePhase::kAsyncBegin:
-      case TracePhase::kAsyncEnd:
-        out << ",\"id\":\"" << event.id << '"';
-        break;
-      case TracePhase::kMetadata:
-        break;
-    }
-    if (!event.args.empty() && event.phase != TracePhase::kCounter) {
-      out << ',';
-      WriteArgs(out, event.args);
-    }
-    out << '}';
+    writer.EndEvent();
   }
-  out << "\n]}\n";
+  writer.Finish();
 }
 
 Status Tracer::WriteChromeTraceFile(const std::string& path) const {
@@ -318,8 +443,8 @@ void Tracer::WriteSpanCsv(std::ostream& out) const {
     } else if (event.phase == TracePhase::kAsyncEnd) {
       for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
         const TraceEvent& begin = *it->begin;
-        if (!it->closed && begin.pid == event.pid && begin.category == event.category &&
-            begin.id == event.id && begin.name == event.name) {
+        if (!it->closed && begin.pid == event.pid && begin.id == event.id &&
+            begin.category() == event.category() && begin.name() == event.name()) {
           it->closed = true;
           it->end_s = event.ts_s;
           break;
@@ -330,7 +455,7 @@ void Tracer::WriteSpanCsv(std::ostream& out) const {
   for (const OpenSpan& span : spans) {
     const TraceEvent& begin = *span.begin;
     double duration = span.closed ? span.end_s - begin.ts_s : -1.0;
-    out << begin.pid << ',' << begin.category << ',' << begin.id << ',' << begin.name << ','
+    out << begin.pid << ',' << begin.category() << ',' << begin.id << ',' << begin.name() << ','
         << begin.ts_s << ',' << (span.closed ? span.end_s : -1.0) << ',' << duration << '\n';
   }
 }

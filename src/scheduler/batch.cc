@@ -1,6 +1,6 @@
 #include "src/scheduler/batch.h"
 
-#include <sstream>
+#include <charconv>
 
 namespace sarathi {
 
@@ -56,27 +56,39 @@ void ScheduledBatch::FillBatchWork(BatchWork* work) const {
 }
 
 std::string ScheduledBatch::Describe() const {
+  std::string out;
+  DescribeTo(&out);
+  return out;
+}
+
+void ScheduledBatch::DescribeTo(std::string* out) const {
+  auto append_int = [out](int64_t value) {
+    char buffer[24];
+    auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    out->append(buffer, end);
+  };
+  out->clear();
   int64_t decodes = NumDecodes();
-  std::ostringstream out;
-  bool first = true;
   if (decodes > 0) {
-    out << decodes << "d";
-    first = false;
+    append_int(decodes);
+    out->push_back('d');
   }
   for (const auto& item : items) {
     if (item.is_decode) {
       continue;
     }
-    if (!first) {
-      out << "+";
+    if (!out->empty()) {
+      out->push_back('+');
     }
-    out << "p" << item.request->id() << "(" << item.num_tokens << ")";
-    first = false;
+    out->push_back('p');
+    append_int(item.request->id());
+    out->push_back('(');
+    append_int(item.num_tokens);
+    out->push_back(')');
   }
-  if (first) {
-    out << "idle";
+  if (out->empty()) {
+    out->append("idle");
   }
-  return out.str();
 }
 
 }  // namespace sarathi

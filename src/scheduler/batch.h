@@ -46,6 +46,8 @@ struct ScheduledBatch {
 
   // Compact rendering like "3d+p(256)+p(512)" for schedule traces (Fig. 7).
   std::string Describe() const;
+  // Describe() into `out` (replacing its contents), reusing its capacity.
+  void DescribeTo(std::string* out) const;
 };
 
 }  // namespace sarathi

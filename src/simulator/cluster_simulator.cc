@@ -607,7 +607,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     dest_tracer->set_default_pid(n);
     dest_tracer->SetProcessName(n, "router");
     for (const HealthTransition& tr : prober.transitions()) {
-      dest_tracer->Instant("router", std::string(ReplicaHealthName(tr.to)), tr.time_s,
+      dest_tracer->Instant("router", dest_tracer->Pool(ReplicaHealthName(tr.to)), tr.time_s,
                            {Arg("replica", static_cast<int64_t>(tr.replica))});
     }
     for (int r = 0; r < n; ++r) {
@@ -1862,7 +1862,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     merged.num_browned_out += result.num_browned_out;
     merged.overload_transitions += result.overload_transitions;
     if (dest_tracer != nullptr && replica_tracers[static_cast<size_t>(r)] != nullptr) {
-      dest_tracer->Append(*replica_tracers[static_cast<size_t>(r)]);
+      dest_tracer->Append(std::move(*replica_tracers[static_cast<size_t>(r)]));
     }
     if (dest_metrics != nullptr && replica_metrics[static_cast<size_t>(r)] != nullptr) {
       dest_metrics->MergeFrom(*replica_metrics[static_cast<size_t>(r)]);

@@ -213,6 +213,8 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
   in_flight.reserve(static_cast<size_t>(num_stages) + 1);
   // Reused per-iteration shape scratch for MFU/MBU accounting.
   BatchWork work_scratch;
+  // Reused batch description, pooled into the tracer as each slice's name.
+  std::string slice_scratch;
   size_t next_arrival = 0;
   double now = 0.0;
   double first_start = -1.0;
@@ -848,7 +850,7 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
         if (level != prev) {
           if (tracer != nullptr) {
             tracer->Instant("overload", "overload_level", now,
-                            {Arg("level", std::string(OverloadLevelName(level))),
+                            {Arg("level", tracer->Pool(OverloadLevelName(level))),
                              Arg("queue_delay_s", signals.queue_delay_s),
                              Arg("p99_tbt_s", signals.p99_tbt_s),
                              Arg("kv_utilization", signals.kv_utilization)});
@@ -971,9 +973,10 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
     }
     double start = now;
     double enter = start;
-    std::string slice_name;
+    const char* slice_name = "";
     if (tracer != nullptr) {
-      slice_name = batch.Describe();
+      batch.DescribeTo(&slice_scratch);
+      slice_name = tracer->Pool(slice_scratch);
     }
     for (int s = 0; s < num_stages; ++s) {
       double stage_start = std::max(stage_free[static_cast<size_t>(s)], enter);

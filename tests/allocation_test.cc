@@ -16,6 +16,7 @@
 #include "src/core/serving_system.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/slo_monitor.h"
+#include "src/obs/tracer.h"
 #include "src/simulator/replica_simulator.h"
 #include "src/workload/trace.h"
 
@@ -146,6 +147,38 @@ TEST(AllocationTest, FlightRecorderAndSloMonitorStayAllocationFree) {
   EXPECT_EQ(short_allocs, long_allocs)
       << "with the flight recorder and SLO monitor attached the longer run "
       << "allocated " << (long_allocs - short_allocs) << " more times";
+}
+
+TEST(AllocationTest, TracerRecordingIsAllocationFreeOnceReserved) {
+  // A trace event is plain data: literal names and an inline array of
+  // numeric args. Once the event buffer has capacity, recording every event
+  // kind copies one struct and never touches the heap.
+  Tracer tracer;
+  constexpr int kRounds = 2000;
+  auto record = [&tracer] {
+    for (int i = 0; i < kRounds; ++i) {
+      const double t = 0.001 * i;
+      const int64_t n = i;
+      tracer.set_now(t);
+      tracer.Complete("iteration", "iteration", t, 0.001, 0,
+                      {Arg("tokens", n), Arg("decodes", n), Arg("prefill_tokens", 0.5 * t)});
+      tracer.Instant("scheduler", "admit", t, {Arg("request", n)});
+      tracer.InstantNow("kv", "append_slot", {Arg("seq", n), Arg("used_blocks", n)});
+      tracer.Counter("kv", "kv_blocks_in_use", t, 0.5 * t);
+      tracer.AsyncBegin("request", "request", n, t, {Arg("request", n), Arg("round", n)});
+      tracer.AsyncEnd("request", "request", n, t);
+    }
+  };
+  record();  // Grows the event buffer.
+  const size_t recorded = tracer.size();
+  tracer.Clear();
+
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  record();
+  int64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(tracer.size(), recorded);
+  EXPECT_EQ(allocations, 0) << "recording " << recorded << " events allocated " << allocations
+                            << " times";
 }
 
 TEST(AllocationTest, ReuseBuffersOffAllocatesPerIteration) {

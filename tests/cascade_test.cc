@@ -611,13 +611,13 @@ TEST(ClusterPartitionTest, CancelPassAndMergePickTheSameWinner) {
   }
   int cancels = 0;
   for (const TraceEvent& event : tracer.events()) {
-    if (event.name != "hedge_cancel") {
+    if (event.name() != "hedge_cancel") {
       continue;
     }
     ++cancels;
     int64_t id = -1;
-    for (const TraceArg& arg : event.args) {
-      if (arg.key == "request") {
+    for (const TraceArg& arg : event.args()) {
+      if (std::string_view(arg.key) == "request") {
         id = static_cast<int64_t>(arg.number);
       }
     }

@@ -5,10 +5,16 @@
 // metric window semantics, telemetry directory creation, and the instrumented
 // replica/cluster simulators.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -285,7 +291,7 @@ TEST(TracerTest, DisabledTracerNeverAllocates) {
   tracer.Counter("kv", "blocks", 0.1, 32.0);
   tracer.AsyncBegin("request", "request", 7, 0.0);
   tracer.AsyncEnd("request", "request", 7, 1.0);
-  tracer.Append(enabled);
+  tracer.Append(std::move(enabled));
 
   EXPECT_TRUE(tracer.empty());
   EXPECT_EQ(tracer.events().capacity(), 0u);  // Never touched the buffer.
@@ -299,15 +305,19 @@ TEST(TracerTest, RecordsInOrderAndStampsFields) {
   tracer.Counter("kv", "blocks", 2.0, 12.0);
 
   ASSERT_EQ(tracer.size(), 3u);
-  EXPECT_EQ(tracer.events()[0].name, "a");  // Recording order, not time order.
-  EXPECT_EQ(tracer.events()[1].name, "b");
-  EXPECT_EQ(tracer.events()[0].pid, 3);
-  EXPECT_EQ(tracer.events()[2].phase, TracePhase::kCounter);
-  EXPECT_DOUBLE_EQ(tracer.events()[2].value, 12.0);
+  std::vector<const TraceEvent*> events;
+  for (const TraceEvent& event : tracer.events()) {
+    events.push_back(&event);
+  }
+  EXPECT_EQ(events[0]->name(), "a");  // Recording order, not time order.
+  EXPECT_EQ(events[1]->name(), "b");
+  EXPECT_EQ(events[0]->pid, 3);
+  EXPECT_EQ(events[2]->phase, TracePhase::kCounter);
+  EXPECT_DOUBLE_EQ(events[2]->value, 12.0);
 
   auto instants = tracer.EventsWithPhase(TracePhase::kInstant);
   ASSERT_EQ(instants.size(), 2u);
-  EXPECT_EQ(instants[0]->name, "a");
+  EXPECT_EQ(instants[0]->name(), "a");
 }
 
 TEST(TracerTest, ChromeJsonSortsByTimeAfterMetadata) {
@@ -333,7 +343,7 @@ TEST(TracerTest, ChromeJsonIsValidWithHostileStrings) {
   Tracer tracer;
   tracer.SetProcessName(0, "name with \"quotes\" and \\backslash\\");
   tracer.Complete("iteration", "line\nbreak,comma\ttab", 0.0, 0.5, 0,
-                  {Arg("note", std::string("a\"b\nc")), Arg("count", int64_t{3})});
+                  {Arg("note", "a\"b\nc"), Arg("count", int64_t{3})});
   tracer.Instant("fault", "crash \x01 control", 1.0);
   tracer.AsyncBegin("request", "request", 42, 0.0, {Arg("prompt", 1024.0)});
   tracer.AsyncEnd("request", "request", 42, 2.0);
@@ -408,9 +418,9 @@ TEST(TracerTest, AppendMergesEventsVerbatim) {
 
   Tracer merged;
   merged.set_default_pid(9);  // Must not rewrite the appended event's pid.
-  merged.Append(replica);
+  merged.Append(std::move(replica));
   ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged.events()[0].pid, 2);
+  EXPECT_EQ(merged.events().begin()->pid, 2);
 }
 
 TEST(TracerTest, WriteFilesCreateParentDirectories) {
@@ -434,6 +444,374 @@ TEST(TracerTest, WriteFileFailsWhenParentIsAFile) {
   tracer.Instant("cat", "evt", 0.5);
   Status status = tracer.WriteChromeTraceFile(blocker + "/trace.json");
   EXPECT_FALSE(status.ok());
+}
+
+// ---- Chrome-trace writer parity ----
+//
+// Reference model: the ostream + snprintf("%.12g") writer the tracer and the
+// flight recorder used before they rendered into one buffer with
+// std::to_chars. The production writers must match it byte for byte.
+
+std::string RefNumber(double value) {
+  if (!std::isfinite(value)) {
+    value = 0.0;
+  }
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
+  return buffer;
+}
+
+std::string RefEscape(const std::string& value) {
+  std::string escaped;
+  for (char c : value) {
+    switch (c) {
+      case '"':
+        escaped += "\\\"";
+        break;
+      case '\\':
+        escaped += "\\\\";
+        break;
+      case '\n':
+        escaped += "\\n";
+        break;
+      case '\r':
+        escaped += "\\r";
+        break;
+      case '\t':
+        escaped += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          escaped += buffer;
+        } else {
+          escaped += c;
+        }
+    }
+  }
+  return escaped;
+}
+
+void RefEventHead(std::ostream& out, TracePhase phase, int pid, int tid, double ts_s,
+                  const std::string& name, const std::string& category, double dur_s,
+                  int64_t id) {
+  out << "\n{\"ph\":\"" << static_cast<char>(phase) << "\",\"pid\":" << pid
+      << ",\"tid\":" << tid << ",\"ts\":" << RefNumber(ts_s * 1e6);
+  out << ",\"name\":\"" << RefEscape(name) << '"';
+  if (!category.empty()) {
+    out << ",\"cat\":\"" << RefEscape(category) << '"';
+  }
+  switch (phase) {
+    case TracePhase::kComplete:
+      out << ",\"dur\":" << RefNumber(dur_s * 1e6);
+      break;
+    case TracePhase::kInstant:
+      out << ",\"s\":\"t\"";
+      break;
+    case TracePhase::kAsyncBegin:
+    case TracePhase::kAsyncEnd:
+      out << ",\"id\":\"" << id << '"';
+      break;
+    case TracePhase::kCounter:
+    case TracePhase::kMetadata:
+      break;
+  }
+}
+
+std::string RefTracerJson(const Tracer& tracer) {
+  std::vector<const TraceEvent*> ordered;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.phase == TracePhase::kMetadata) {
+      ordered.push_back(&event);
+    }
+  }
+  size_t num_metadata = ordered.size();
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.phase != TracePhase::kMetadata) {
+      ordered.push_back(&event);
+    }
+  }
+  std::stable_sort(ordered.begin() + static_cast<long>(num_metadata), ordered.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) { return a->ts_s < b->ts_s; });
+  std::ostringstream out;
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    const TraceEvent& event = *ordered[i];
+    if (i > 0) {
+      out << ",";
+    }
+    const bool async =
+        event.phase == TracePhase::kAsyncBegin || event.phase == TracePhase::kAsyncEnd;
+    RefEventHead(out, event.phase, event.pid, event.tid, event.ts_s, std::string(event.name()),
+                 std::string(event.category()),
+                 event.phase == TracePhase::kComplete ? event.dur_s : 0.0, async ? event.id : 0);
+    std::span<const TraceArg> args = event.args();
+    if (event.phase == TracePhase::kCounter) {
+      out << ",\"args\":{\"value\":" << RefNumber(event.value) << '}';
+    } else if (!args.empty()) {
+      out << ",\"args\":{";
+      for (size_t a = 0; a < args.size(); ++a) {
+        const TraceArg& arg = args[a];
+        out << (a > 0 ? "," : "") << '"' << RefEscape(arg.key) << "\":";
+        if (arg.is_number()) {
+          out << RefNumber(arg.number);
+        } else {
+          out << '"' << RefEscape(arg.text) << '"';
+        }
+      }
+      out << '}';
+    }
+    out << '}';
+  }
+  out << "\n]}\n";
+  return out.str();
+}
+
+std::string RefFlightJson(const FlightRecorder& recorder) {
+  std::ostringstream out;
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  std::vector<FlightEvent> events = recorder.Snapshot();
+  for (size_t i = 0; i < events.size(); ++i) {
+    const FlightEvent& event = events[i];
+    if (i > 0) {
+      out << ',';
+    }
+    RefEventHead(out, event.phase, event.pid, event.tid, event.ts_s, event.name, event.category,
+                 event.dur_s, event.id);
+    if (event.num_args > 0) {
+      out << ",\"args\":{";
+      for (int a = 0; a < event.num_args; ++a) {
+        out << (a > 0 ? "," : "") << '"' << RefEscape(event.args[a].key)
+            << "\":" << RefNumber(event.args[a].value);
+      }
+      out << '}';
+    }
+    out << '}';
+  }
+  out << "\n]}\n";
+  return out.str();
+}
+
+std::string TracerJson(const Tracer& tracer) {
+  std::ostringstream out;
+  tracer.WriteChromeTraceJson(out);
+  return out.str();
+}
+
+// Values whose "%.12g" rendering has corner cases: exponent switch-over on
+// both sides, rounding at the 12th digit, negative zero, subnormals, and the
+// non-finite values JSON cannot carry (printed as 0).
+const std::vector<double>& EdgeNumbers() {
+  static const std::vector<double> values = {
+      0.0,
+      -0.0,
+      1e-5,
+      1e-4,
+      0.0001234567890123,
+      1e15,
+      1e16,
+      999999999999.5,
+      123456789012.345,
+      0.1,
+      1.0 / 3.0,
+      -2.5,
+      42.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  return values;
+}
+
+TEST(ChromeWriterParityTest, EdgeNumbersMatchPrintf) {
+  Tracer tracer;
+  for (double value : EdgeNumbers()) {
+    tracer.Counter("kv", "blocks", 1.0, value);
+    tracer.Complete("iteration", "slice", 2.0, value, 0, {Arg("n", value)});
+    if (!std::isnan(value)) {
+      tracer.Instant("cat", "at", value);
+    }
+  }
+  EXPECT_EQ(TracerJson(tracer), RefTracerJson(tracer));
+}
+
+TEST(ChromeWriterParityTest, EscapingMatchesReference) {
+  std::string every_byte;
+  for (int c = 1; c < 256; ++c) {
+    every_byte.push_back(static_cast<char>(c));
+  }
+  for (const std::string& value :
+       {std::string(""), std::string("plain"), std::string("q\"uote"), std::string("back\\slash"),
+        std::string("tab\there\r\n"), std::string("ctl\x01\x1f\x7f"), every_byte}) {
+    EXPECT_EQ(JsonEscape(value), RefEscape(value));
+  }
+}
+
+TEST(ChromeWriterParityTest, RandomTracesMatchReferenceWriter) {
+  // Hostile names are pooled copies, so they also exercise Pool().
+  const std::vector<std::string> hostile = {
+      "plain", "", "with \"quotes\"", "back\\slash", "line\nbreak\ttab\r", "ctl \x01\x02\x1f",
+      "utf8 \xc3\xa9", "p12(256)+p13(512)+4d"};
+  const char* const literals[] = {"iteration", "request", "admit", "kv", "", "router"};
+  std::mt19937_64 rng(20240517);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  for (int round = 0; round < 40; ++round) {
+    Tracer tracer;
+    auto text = [&]() -> const char* {
+      return pick(2) == 0 ? literals[pick(std::size(literals))]
+                          : tracer.Pool(hostile[pick(hostile.size())]);
+    };
+    auto number = [&]() -> double {
+      if (pick(3) == 0) {
+        return EdgeNumbers()[pick(EdgeNumbers().size())];
+      }
+      return std::ldexp(static_cast<double>(rng() % 2000001) - 1000000.0,
+                        static_cast<int>(pick(80)) - 60);
+    };
+    // Few distinct times, so many events tie and must keep recording order;
+    // infinities are valid sort keys that print as 0.
+    auto time = [&]() -> double {
+      switch (pick(4)) {
+        case 0:
+          return 0.001 * static_cast<double>(pick(5));
+        case 1:
+          return pick(20) == 0 ? std::numeric_limits<double>::infinity() : -0.0;
+        default: {
+          const double value = number();
+          return std::isnan(value) ? 1.0 : std::abs(value) * 1e-9;
+        }
+      }
+    };
+    const int num_events = 1 + static_cast<int>(pick(300));
+    for (int i = 0; i < num_events; ++i) {
+      tracer.set_default_pid(static_cast<int>(pick(4)));
+      TraceArg args[4];
+      for (TraceArg& arg : args) {
+        arg = pick(3) == 0 ? Arg(literals[pick(4)], text()) : Arg("n\"k", number());
+      }
+      const int kind = static_cast<int>(pick(7));
+      auto emit = [&](std::initializer_list<TraceArg> list) {
+        switch (kind) {
+          case 0:
+            tracer.SetProcessName(static_cast<int>(pick(4)), hostile[pick(hostile.size())]);
+            break;
+          case 1:
+            tracer.SetThreadName(static_cast<int>(pick(3)), hostile[pick(hostile.size())]);
+            break;
+          case 2:
+            tracer.Complete(text(), text(), time(), number(), static_cast<int>(pick(3)), list);
+            break;
+          case 3:
+            tracer.Instant(text(), text(), time(), list);
+            break;
+          case 4:
+            tracer.Counter(text(), text(), time(), number());
+            break;
+          case 5:
+            tracer.AsyncBegin(text(), text(), static_cast<int64_t>(rng()), time(), list);
+            break;
+          default:
+            tracer.AsyncEnd(text(), text(), -static_cast<int64_t>(pick(100)), time(), list);
+            break;
+        }
+      };
+      switch (pick(5)) {
+        case 0:
+          emit({});
+          break;
+        case 1:
+          emit({args[0]});
+          break;
+        case 2:
+          emit({args[0], args[1]});
+          break;
+        case 3:
+          emit({args[0], args[1], args[2]});
+          break;
+        default:
+          emit({args[0], args[1], args[2], args[3]});
+          break;
+      }
+    }
+    ASSERT_EQ(TracerJson(tracer), RefTracerJson(tracer)) << "round " << round;
+  }
+}
+
+TEST(ChromeWriterParityTest, MetadataFirstAndTiesKeepRecordingOrder) {
+  Tracer tracer;
+  tracer.Instant("cat", "first", 1.0);
+  tracer.AsyncBegin("request", "request", 7, 1.0);
+  tracer.Instant("cat", "early", 0.5);
+  tracer.SetProcessName(0, "replica 0");
+  tracer.AsyncBegin("request", "queued", 7, 1.0);
+  tracer.AsyncEnd("request", "queued", 7, 1.0);
+  tracer.SetThreadName(0, "stage 0");
+  tracer.Instant("cat", "last", 1.0);
+  std::string json = TracerJson(tracer);
+  EXPECT_EQ(json, RefTracerJson(tracer));
+  std::vector<size_t> at;
+  for (const char* needle :
+       {"\"replica 0\"", "\"stage 0\"", "\"early\"", "\"first\"", "\"name\":\"request\"",
+        "\"name\":\"queued\",\"cat\":\"request\",\"id\":\"7\"}",
+        "\"ph\":\"e\",\"pid\":0,\"tid\":0,\"ts\":1000000,\"name\":\"queued\"", "\"last\""}) {
+    at.push_back(json.find(needle));
+    ASSERT_NE(at.back(), std::string::npos) << needle;
+  }
+  EXPECT_TRUE(std::is_sorted(at.begin(), at.end()));
+}
+
+TEST(ChromeWriterParityTest, WriterOutputSurvivesSmallFlushChunksAndAppend) {
+  // Large enough that the writer flushes mid-stream, and merged from two
+  // tracers so moved pool chunks must still hold their names.
+  Tracer merged;
+  merged.SetProcessName(2, "router");
+  for (int r = 0; r < 2; ++r) {
+    Tracer replica;
+    replica.set_default_pid(r);
+    replica.SetProcessName(r, "replica " + std::to_string(r));
+    for (int i = 0; i < 20000; ++i) {
+      std::string name = "p" + std::to_string(i) + "(" + std::to_string(i % 512) + ")";
+      replica.Complete("iteration", replica.Pool(name), 0.01 * (i % 977), 0.005, 0,
+                       {Arg("tokens", int64_t{i}), Arg("note", replica.Pool(name))});
+    }
+    merged.Append(std::move(replica));
+    EXPECT_TRUE(replica.empty());
+  }
+  EXPECT_EQ(merged.size(), 40003u);
+  EXPECT_EQ(TracerJson(merged), RefTracerJson(merged));
+}
+
+TEST(ChromeWriterParityTest, FlightDumpMatchesReferenceWriter) {
+  FlightRecorder::Options options;
+  options.capacity = 64;
+  FlightRecorder recorder(options);
+  std::mt19937_64 rng(7);
+  const auto& edges = EdgeNumbers();
+  for (int i = 0; i < 200; ++i) {
+    double v = edges[rng() % edges.size()];
+    double t = 0.25 * static_cast<double>(i);
+    switch (rng() % 3) {
+      case 0:
+        recorder.RecordInstant("fault", "crash", t, 1, {{"q\"key", v}, {"x", 1e-5}});
+        break;
+      case 1:
+        recorder.RecordComplete("iteration", "iteration", t, v, 0, 2, {{"tokens", v}});
+        break;
+      default:
+        recorder.RecordCounter("kv", "blocks", v, 3, v);
+        break;
+    }
+  }
+  recorder.Trigger("replica_crash", 60.0);
+  std::ostringstream out;
+  recorder.WriteChromeTraceJson(out);
+  EXPECT_EQ(out.str(), RefFlightJson(recorder));
 }
 
 // ---- LogHistogram ----
@@ -680,8 +1058,8 @@ TEST(SimulatorObsTest, ReplicaRunEmitsSpansSlicesAndMetrics) {
   std::set<int64_t> span_ids;
   std::set<std::string> span_names;
   for (const TraceEvent* event : begins) {
-    span_names.insert(event->name);
-    if (event->name == "request") {
+    span_names.insert(std::string(event->name()));
+    if (event->name() == "request") {
       span_ids.insert(event->id);
     }
   }
@@ -695,7 +1073,7 @@ TEST(SimulatorObsTest, ReplicaRunEmitsSpansSlicesAndMetrics) {
   auto slices = tracer.EventsWithPhase(TracePhase::kComplete);
   int64_t iteration_slices = 0;
   for (const TraceEvent* event : slices) {
-    if (event->category == "iteration") {
+    if (event->category() == "iteration") {
       ++iteration_slices;
       EXPECT_GE(event->dur_s, 0.0);
       EXPECT_LE(event->ts_s + event->dur_s, result.makespan_s + 1e-9);
@@ -760,7 +1138,7 @@ TEST(SimulatorObsTest, DynamicBudgetEmitsTokenBudgetSeries) {
                    static_cast<double>(options.scheduler.min_token_budget));
   bool saw_budget_counter = false;
   for (const TraceEvent& event : tracer.events()) {
-    if (event.phase == TracePhase::kCounter && event.name == "token_budget") {
+    if (event.phase == TracePhase::kCounter && event.name() == "token_budget") {
       saw_budget_counter = true;
     }
   }
@@ -797,10 +1175,10 @@ TEST(SimulatorObsTest, ClusterFaultRunTracesAllProcesses) {
   int64_t crash_instants = 0;
   for (const TraceEvent& event : tracer.events()) {
     pids.insert(event.pid);
-    if (event.phase == TracePhase::kComplete && event.name == "outage") {
+    if (event.phase == TracePhase::kComplete && event.name() == "outage") {
       ++outage_slices;
     }
-    if (event.phase == TracePhase::kInstant && event.name == "crash") {
+    if (event.phase == TracePhase::kInstant && event.name() == "crash") {
       ++crash_instants;
     }
   }
@@ -814,7 +1192,7 @@ TEST(SimulatorObsTest, ClusterFaultRunTracesAllProcesses) {
   if (result.TotalRetries() > 0) {
     int64_t retry_instants = 0;
     for (const TraceEvent& event : tracer.events()) {
-      if (event.phase == TracePhase::kInstant && event.name == "retry") {
+      if (event.phase == TracePhase::kInstant && event.name() == "retry") {
         EXPECT_EQ(event.pid, cluster.num_replicas);
         ++retry_instants;
       }
@@ -1017,8 +1395,8 @@ TEST(SloMonitorTest, AlertsFanOutToTracerRegistryAndFlightRecorder) {
 
   int64_t slo_instants = 0;
   for (const TraceEvent& event : tracer.events()) {
-    if (event.phase == TracePhase::kInstant && event.name == "slo_burn_alert") {
-      EXPECT_EQ(event.category, "slo");
+    if (event.phase == TracePhase::kInstant && event.name() == "slo_burn_alert") {
+      EXPECT_EQ(event.category(), "slo");
       ++slo_instants;
     }
   }
