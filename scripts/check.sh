@@ -23,9 +23,10 @@ echo
 echo "== cascade smoke: correlated faults, partitions, metastable recovery =="
 build/tools/sarathi_fuzz --seeds=100 --force-cascade --repro-out=build/fuzz-repro
 # Parallel seeds must be byte-identical to serial ones, plain, with the
-# cascade dimension forced (the only one that reaches the race code), and with
-# the prefix cache forced (its eviction index).
-for force in "" --force-cascade --force-prefix; do
+# cascade dimension forced (the only one that reaches the race code), with
+# the prefix cache forced (its eviction index), and with autoscaling forced
+# (its provision windows).
+for force in "" --force-cascade --force-prefix --force-autoscale; do
   build/tools/sarathi_fuzz --seeds=40 --jobs=1 $force \
     --fingerprint-out=build/fuzz-fp-serial.csv > build/fuzz-log-serial.txt
   build/tools/sarathi_fuzz --seeds=40 --jobs=2 $force \
@@ -35,6 +36,10 @@ for force in "" --force-cascade --force-prefix; do
 done
 cmake --build build -j --target bench_ext_cascade
 build/bench/bench_ext_cascade --quick --selfcheck --jobs=2
+
+echo
+echo "== autoscale smoke: provisioned floor with scale out/in around faults =="
+build/tools/sarathi_fuzz --seeds=100 --force-autoscale --repro-out=build/fuzz-repro
 
 echo
 echo "== prefix-cache smoke: radix cache in the allocator matrix, capacity + ledger =="

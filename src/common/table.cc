@@ -60,8 +60,4 @@ std::string Table::ToString() const {
 
 void Table::Print() const { std::cout << ToString() << std::flush; }
 
-void PrintBanner(const std::string& title) {
-  std::cout << "\n== " << title << " ==\n" << std::flush;
-}
-
 }  // namespace sarathi

@@ -33,9 +33,6 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Prints a section banner ("== title ==") around bench output.
-void PrintBanner(const std::string& title);
-
 }  // namespace sarathi
 
 #endif  // SRC_COMMON_TABLE_H_

@@ -1,10 +1,9 @@
-// Time-domain execution engine interface.
+// Time-domain execution engine.
 //
-// The replica simulator asks an engine how long a scheduled batch takes — per
-// pipeline stage and end-to-end — without caring whether the answer comes
-// from an analytical model (SimulatedEngine, the GPU substitute per
-// DESIGN.md) or measurements. Value-domain execution (actual token
-// generation) lives separately in engine/reference.
+// The replica simulator asks the engine how long a scheduled batch takes per
+// pipeline stage. SimulatedEngine answers from the analytical roofline cost
+// model (the GPU substitute per DESIGN.md). Value-domain execution (actual
+// token generation) lives separately in engine/reference.
 
 #ifndef SRC_ENGINE_EXECUTION_ENGINE_H_
 #define SRC_ENGINE_EXECUTION_ENGINE_H_
@@ -16,49 +15,27 @@
 
 namespace sarathi {
 
-class ExecutionEngine {
- public:
-  virtual ~ExecutionEngine() = default;
-
-  // Pipeline depth: how many micro-batches can be in flight.
-  virtual int num_stages() const = 0;
-
-  // Execution time of one pipeline stage for this batch.
-  virtual double StageTime(const ScheduledBatch& batch) const = 0;
-
-  // End-to-end iteration latency and its component breakdown.
-  virtual CostBreakdown IterationBreakdown(const ScheduledBatch& batch) const = 0;
-};
-
 // Predicts execution time with the roofline cost model. The model may be
 // shared with the caller (e.g. a cluster simulator reusing one memo cache
 // across serial replica runs) — never across concurrently running engines.
 // When `reuse_buffers` is set the per-call BatchWork shape is built into a
 // reused scratch buffer, making steady-state StageTime calls allocation-free.
-class SimulatedEngine : public ExecutionEngine {
+class SimulatedEngine {
  public:
-  explicit SimulatedEngine(IterationCostModel cost_model)
-      : SimulatedEngine(std::make_shared<IterationCostModel>(std::move(cost_model)), true) {}
   explicit SimulatedEngine(std::shared_ptr<IterationCostModel> cost_model,
                            bool reuse_buffers = true)
       : cost_model_(std::move(cost_model)), reuse_buffers_(reuse_buffers) {}
 
-  int num_stages() const override { return cost_model_->parallel().pipeline_parallel; }
+  // Pipeline depth: how many micro-batches can be in flight.
+  int num_stages() const { return cost_model_->parallel().pipeline_parallel; }
 
-  double StageTime(const ScheduledBatch& batch) const override {
+  // Execution time of one pipeline stage for this batch.
+  double StageTime(const ScheduledBatch& batch) const {
     if (!reuse_buffers_) {
       return cost_model_->StageCost(batch.ToBatchWork()).Total();
     }
     batch.FillBatchWork(&scratch_);
     return cost_model_->StageCost(scratch_).Total();
-  }
-
-  CostBreakdown IterationBreakdown(const ScheduledBatch& batch) const override {
-    if (!reuse_buffers_) {
-      return cost_model_->IterationCost(batch.ToBatchWork());
-    }
-    batch.FillBatchWork(&scratch_);
-    return cost_model_->IterationCost(scratch_);
   }
 
   // Stage time plus the iteration's FLOP/byte accounting totals in a single
@@ -72,14 +49,7 @@ class SimulatedEngine : public ExecutionEngine {
     return cost_model_->StageCostAndTotals(scratch_, flops, bytes).Total();
   }
 
-  // The BatchWork built by the most recent StageTime / IterationBreakdown
-  // call when buffers are reused (nullptr otherwise). Lets the caller run
-  // FLOP/byte accounting for the batch it just timed without rebuilding the
-  // shape; only valid until the next engine call.
-  const BatchWork* last_work() const { return reuse_buffers_ ? &scratch_ : nullptr; }
-
   const IterationCostModel& cost_model() const { return *cost_model_; }
-  const std::shared_ptr<IterationCostModel>& shared_cost_model() const { return cost_model_; }
 
  private:
   std::shared_ptr<IterationCostModel> cost_model_;

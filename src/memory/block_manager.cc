@@ -34,7 +34,7 @@ void PagedBlockManager::EmitKvObs(const char* event, SeqId id) {
   if (obs_ == nullptr) {
     return;
   }
-  if (Tracer* tracer = obs_->ActiveTracer()) {
+  if (Tracer* tracer = obs_->tracer) {
     if (used_blocks() != last_emitted_used_) {
       tracer->Counter(kKvCategory, "kv_blocks_in_use", obs_->now_s,
                       static_cast<double>(used_blocks()));

@@ -108,7 +108,6 @@ class PagedBlockManager : public KvAllocator {
     return static_cast<int64_t>(free_list_.size()) + options_.num_blocks - high_water_blocks();
   }
   int64_t used_blocks() const { return options_.num_blocks - free_blocks(); }
-  bool HasSequence(SeqId id) const { return tables_.contains(id); }
   // Blocks ever allocated: ids below it have been handed out at least once,
   // ids at or above it never have. Per-block state is sized to it.
   int64_t high_water_blocks() const { return static_cast<int64_t>(refcount_.size()); }

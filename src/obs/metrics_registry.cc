@@ -52,13 +52,6 @@ double LogHistogram::BucketLo(size_t bucket) const {
   return options_.min_value * std::exp(static_cast<double>(bucket - 1) * log_growth_);
 }
 
-double LogHistogram::BucketHi(size_t bucket) const {
-  if (bucket == 0) {
-    return options_.min_value;
-  }
-  return options_.min_value * std::exp(static_cast<double>(bucket) * log_growth_);
-}
-
 void LogHistogram::Record(double value) {
   ++counts_[BucketFor(value)];
   if (count_ == 0) {

@@ -67,7 +67,6 @@ class LogHistogram {
  private:
   size_t BucketFor(double value) const;
   double BucketLo(size_t bucket) const;
-  double BucketHi(size_t bucket) const;
 
   Options options_;
   double log_growth_;

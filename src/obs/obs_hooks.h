@@ -39,12 +39,6 @@ struct ObsHooks {
       tracer->set_now(t_s);
     }
   }
-
-  // The tracer if it is present and recording, else null. Emission sites use
-  // this so a disabled tracer costs one branch.
-  Tracer* ActiveTracer() const {
-    return tracer != nullptr && tracer->enabled() ? tracer : nullptr;
-  }
 };
 
 }  // namespace sarathi

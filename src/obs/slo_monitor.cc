@@ -169,7 +169,7 @@ void SloMonitor::EmitAlert(int index, double now_s, double fast, double slow) {
   } else {
     ++alerts_suppressed_;
   }
-  if (tracer_ != nullptr && tracer_->enabled()) {
+  if (tracer_ != nullptr) {
     tracer_->Instant("slo", "slo_burn_alert", now_s,
                      {Arg("policy", tracer_->Pool(policy.name)),
                       Arg("signal", SloSignalName(policy.signal)), Arg("fast_burn", fast),

@@ -215,9 +215,6 @@ Status EnsureParentDirectory(const std::string& path) {
 }
 
 const char* Tracer::Pool(std::string_view text) {
-  if (!enabled_) {
-    return "";
-  }
   const size_t need = text.size() + 1;
   if (need > pool_left_) {
     const size_t size = std::max(need, kPoolChunkBytes);
@@ -252,24 +249,15 @@ TraceEvent& Tracer::Record(TracePhase phase, const char* category, const char* n
 }
 
 void Tracer::SetProcessName(int pid, std::string_view name) {
-  if (!enabled_) {
-    return;
-  }
   Record(TracePhase::kMetadata, "", "process_name", 0.0, {Arg("name", Pool(name))}).pid = pid;
 }
 
 void Tracer::SetThreadName(int tid, std::string_view name) {
-  if (!enabled_) {
-    return;
-  }
   Record(TracePhase::kMetadata, "", "thread_name", 0.0, {Arg("name", Pool(name))}).tid = tid;
 }
 
 void Tracer::Complete(const char* category, const char* name, double start_s, double dur_s,
                       int tid, std::initializer_list<TraceArg> args) {
-  if (!enabled_) {
-    return;
-  }
   TraceEvent& event = Record(TracePhase::kComplete, category, name, start_s, args);
   event.dur_s = dur_s;
   event.tid = tid;
@@ -277,39 +265,24 @@ void Tracer::Complete(const char* category, const char* name, double start_s, do
 
 void Tracer::Instant(const char* category, const char* name, double ts_s,
                      std::initializer_list<TraceArg> args) {
-  if (!enabled_) {
-    return;
-  }
   Record(TracePhase::kInstant, category, name, ts_s, args);
 }
 
 void Tracer::Counter(const char* category, const char* name, double ts_s, double value) {
-  if (!enabled_) {
-    return;
-  }
   Record(TracePhase::kCounter, category, name, ts_s, {}).value = value;
 }
 
 void Tracer::AsyncBegin(const char* category, const char* name, int64_t id, double ts_s,
                         std::initializer_list<TraceArg> args) {
-  if (!enabled_) {
-    return;
-  }
   Record(TracePhase::kAsyncBegin, category, name, ts_s, args).id = id;
 }
 
 void Tracer::AsyncEnd(const char* category, const char* name, int64_t id, double ts_s,
                       std::initializer_list<TraceArg> args) {
-  if (!enabled_) {
-    return;
-  }
   Record(TracePhase::kAsyncEnd, category, name, ts_s, args).id = id;
 }
 
 void Tracer::Append(Tracer&& other) {
-  if (!enabled_) {
-    return;
-  }
   events_.Splice(std::move(other.events_));
   args_.Splice(std::move(other.args_));
   // Chunks own the pooled bytes by pointer, so moving them keeps every

@@ -8,11 +8,9 @@
 // replicas rendered as processes and pipeline stages as tracks) and as a
 // per-request span CSV.
 //
-// Overhead discipline: every recording method returns immediately when the
-// tracer is disabled, before touching the event buffer, so a disabled tracer
-// never allocates. Instrumented code holds a `Tracer*` that may be null and
-// guards emission sites with `if (tracer != nullptr)` — the hook costs one
-// branch when tracing is off.
+// Overhead discipline: tracing is off when there is no tracer. Instrumented
+// code holds a `Tracer*` that may be null and guards emission sites with
+// `if (tracer != nullptr)` — the hook costs one branch when tracing is off.
 //
 // Events are plain-old-data, like the flight recorder's: categories, names
 // and arg keys are `const char*` that the event does not own, and an event's
@@ -220,9 +218,6 @@ class TraceBuffer {
 class Tracer {
  public:
   Tracer() = default;
-  explicit Tracer(bool enabled) : enabled_(enabled) {}
-
-  bool enabled() const { return enabled_; }
 
   // Driver-maintained simulation clock, for instrumented components that have
   // no clock of their own (schedulers, the block manager).
@@ -236,10 +231,10 @@ class Tracer {
 
   // Copies `text` into the tracer's string pool and returns a NUL-terminated
   // copy that stays valid as long as this tracer's events (or those of the
-  // tracer they are appended to). Returns "" when disabled.
+  // tracer they are appended to).
   const char* Pool(std::string_view text);
 
-  // ---- Recording (all no-ops when disabled) ----
+  // ---- Recording ----
   // Strings follow the lifetime rule in the header comment.
 
   // Metadata naming a process or thread track; the name is pooled.
@@ -301,7 +296,6 @@ class Tracer {
   TraceEvent& Record(TracePhase phase, const char* category, const char* name, double ts_s,
                      std::initializer_list<TraceArg> args);
 
-  bool enabled_ = true;
   double now_s_ = 0.0;
   int default_pid_ = 0;
   EventBuffer events_;

@@ -32,26 +32,6 @@ enum class SchedVerifyEvent {
   kFinish,         // Completed all output tokens; KV released.
 };
 
-inline std::string_view SchedVerifyEventName(SchedVerifyEvent event) {
-  switch (event) {
-    case SchedVerifyEvent::kEnqueue:
-      return "enqueue";
-    case SchedVerifyEvent::kAdmit:
-      return "admit";
-    case SchedVerifyEvent::kAdopt:
-      return "adopt";
-    case SchedVerifyEvent::kAdoptMigrated:
-      return "adopt_migrated";
-    case SchedVerifyEvent::kPreempt:
-      return "preempt";
-    case SchedVerifyEvent::kAbort:
-      return "abort";
-    case SchedVerifyEvent::kFinish:
-      return "finish";
-  }
-  return "unknown";
-}
-
 // KV-allocator-side transitions, emitted by both allocator implementations.
 enum class KvVerifyEvent {
   kAdmit,    // Sequence admitted; memory reserved.

@@ -165,25 +165,6 @@ CostBreakdown IterationCostModel::AttentionCost(const BatchWork& batch) const {
   return cost;
 }
 
-CostBreakdown IterationCostModel::LayerCost(const BatchWork& batch) const {
-  int64_t tokens = batch.TotalTokens();
-  CostBreakdown cost = LinearCost(tokens);
-  cost += AttentionCost(batch);
-
-  const GpuSpec& gpu = cluster_.gpu;
-  // Layernorms, residual adds, rotary embeddings, activation functions:
-  // roughly eight full read+write passes over the token embeddings per layer.
-  cost.other_s += ElementwiseTime(tokens, model_.hidden_size, 8.0, model_.dtype_bytes, gpu)
-                      .Total();
-
-  // Two all-reduces per layer under TP (§2.3).
-  if (parallel_.tensor_parallel > 1) {
-    int64_t bytes = tokens * model_.hidden_size * model_.dtype_bytes;
-    cost.comm_s += 2.0 * comm_.AllReduceTime(bytes, parallel_.tensor_parallel);
-  }
-  return cost;
-}
-
 CostBreakdown IterationCostModel::HeadCost(int64_t sampled, int64_t total_tokens) const {
   const GpuSpec& gpu = cluster_.gpu;
   CostBreakdown cost;

@@ -92,10 +92,6 @@ class IterationCostModel {
   CostBreakdown StageCost(const BatchWork& batch) const;
   double StageTime(const BatchWork& batch) const { return StageCost(batch).Total(); }
 
-  // Cost of a single transformer layer for this batch, including TP
-  // all-reduces. Exposed for breakdown-style analyses (Fig. 4).
-  CostBreakdown LayerCost(const BatchWork& batch) const;
-
   // Time spent in the linear operators of the whole model for a batch with
   // `tokens` total query tokens (Fig. 6).
   double LinearOpsTime(int64_t tokens) const;

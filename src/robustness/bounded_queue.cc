@@ -56,7 +56,7 @@ void CoDelQueue::EmitDrop(double head_delay_s, double now_s) {
   if (obs_ == nullptr) {
     return;
   }
-  if (Tracer* tracer = obs_->ActiveTracer()) {
+  if (Tracer* tracer = obs_->tracer) {
     tracer->Instant("overload", "codel_head_drop", now_s,
                     {Arg("head_delay_s", head_delay_s), Arg("episode_drops", count_)});
   }

@@ -65,7 +65,7 @@ void OverloadController::EmitTransition(double now_s, bool escalation) {
   if (obs_ == nullptr) {
     return;
   }
-  if (Tracer* tracer = obs_->ActiveTracer()) {
+  if (Tracer* tracer = obs_->tracer) {
     // Counter track: Perfetto renders the ladder as a step function.
     tracer->Counter("overload", "overload_rung", now_s,
                     static_cast<double>(static_cast<int>(level_)));

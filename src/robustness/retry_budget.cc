@@ -41,7 +41,7 @@ bool RetryBudget::TryConsume(double now_s) {
   if (balance_ < 1.0 - kEps) {
     ++denied_;
     if (obs_ != nullptr && now_s >= 0.0) {
-      if (Tracer* tracer = obs_->ActiveTracer()) {
+      if (Tracer* tracer = obs_->tracer) {
         tracer->Instant("overload", "retry_denied", now_s, {Arg("balance", balance_)});
       }
       if (obs_->metrics != nullptr) {

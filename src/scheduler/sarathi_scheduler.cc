@@ -38,7 +38,7 @@ void SarathiScheduler::ObserveIterationTime(const ScheduledBatch& batch, double 
     current_budget_ = std::min(config_.max_token_budget, current_budget_ + tile);
   }
   if (current_budget_ != previous_budget && obs_ != nullptr) {
-    if (Tracer* tracer = obs_->ActiveTracer()) {
+    if (Tracer* tracer = obs_->tracer) {
       tracer->Counter("scheduler", "token_budget", obs_->now_s,
                       static_cast<double>(current_budget_));
     }
@@ -73,7 +73,7 @@ void SarathiScheduler::SetOverloadLevel(OverloadLevel level) {
     current_budget_ = excess <= config_.budget_tile ? base : current_budget_ - excess / 2;
   }
   if (current_budget_ != previous_budget && obs_ != nullptr) {
-    if (Tracer* tracer = obs_->ActiveTracer()) {
+    if (Tracer* tracer = obs_->tracer) {
       tracer->Counter("scheduler", "token_budget", obs_->now_s,
                       static_cast<double>(current_budget_));
     }

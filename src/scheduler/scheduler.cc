@@ -72,7 +72,7 @@ void Scheduler::EmitSchedulerObs(const char* event, const RequestState* request)
   if (obs_ == nullptr) {
     return;
   }
-  if (Tracer* tracer = obs_->ActiveTracer()) {
+  if (Tracer* tracer = obs_->tracer) {
     if (event != nullptr && request != nullptr) {
       tracer->InstantNow("scheduler", event, {Arg("request", request->id())});
     }

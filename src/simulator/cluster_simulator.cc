@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/common/intervals.h"
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/flight_recorder.h"
@@ -126,57 +127,32 @@ ClusterSimulator::ClusterSimulator(const ClusterOptions& options) : options_(opt
 }
 
 bool ClusterSimulator::DownAt(int replica, double t) const {
-  for (const ReplicaOutage& outage : outage_schedules_[static_cast<size_t>(replica)]) {
-    if (t < outage.down_s) {
-      return false;
-    }
-    if (t < outage.up_s) {
-      return true;
-    }
-  }
-  return false;
+  return CoveringInterval(outage_schedules_[static_cast<size_t>(replica)], t,
+                          &ReplicaOutage::down_s, &ReplicaOutage::up_s) != nullptr;
 }
 
 bool ClusterSimulator::PartitionedAt(int replica, double t) const {
-  for (const ReplicaOutage& window : partition_windows_[static_cast<size_t>(replica)]) {
-    if (t < window.down_s) {
-      return false;
-    }
-    if (t < window.up_s) {
-      return true;
-    }
-  }
-  return false;
+  return CoveringInterval(partition_windows_[static_cast<size_t>(replica)], t,
+                          &ReplicaOutage::down_s, &ReplicaOutage::up_s) != nullptr;
 }
 
 double ClusterSimulator::SlowdownFactorAt(int replica, double t) const {
-  for (const SlowdownEpisode& episode : slowdown_schedules_[static_cast<size_t>(replica)]) {
-    if (t < episode.start_s) {
-      return 1.0;
-    }
-    if (t < episode.end_s) {
-      return episode.factor;
-    }
-  }
-  return 1.0;
+  const SlowdownEpisode* episode =
+      CoveringInterval(slowdown_schedules_[static_cast<size_t>(replica)], t,
+                       &SlowdownEpisode::start_s, &SlowdownEpisode::end_s);
+  return episode != nullptr ? episode->factor : 1.0;
 }
 
+// HealthProber appends detected intervals in time order and closes each one
+// before it opens the next, so they are sorted and disjoint.
 bool ClusterSimulator::DetectedDegradedAt(int replica, double t) const {
-  for (const DetectedInterval& interval : detected_[static_cast<size_t>(replica)]) {
-    if (t >= interval.begin_s && t < interval.end_s) {
-      return true;
-    }
-  }
-  return false;
+  return CoveringInterval(detected_[static_cast<size_t>(replica)], t,
+                          &DetectedInterval::begin_s, &DetectedInterval::end_s) != nullptr;
 }
 
 bool ClusterSimulator::DetectedUnreachableAt(int replica, double t) const {
-  for (const DetectedInterval& interval : detected_unreachable_[static_cast<size_t>(replica)]) {
-    if (t >= interval.begin_s && t < interval.end_s) {
-      return true;
-    }
-  }
-  return false;
+  return CoveringInterval(detected_unreachable_[static_cast<size_t>(replica)], t,
+                          &DetectedInterval::begin_s, &DetectedInterval::end_s) != nullptr;
 }
 
 double ClusterSimulator::SlowStartFractionAt(int replica, double t) const {
@@ -198,18 +174,10 @@ double ClusterSimulator::SlowStartFractionAt(int replica, double t) const {
 }
 
 bool ClusterSimulator::ProvisionedAt(int replica, double t) const {
-  if (!autoscale_active_) {
-    return true;
-  }
-  for (const ProvisionWindow& window : provision_windows_[static_cast<size_t>(replica)]) {
-    if (t < window.from_s) {
-      return false;  // Windows are appended in from_s order.
-    }
-    if (t < window.to_s) {
-      return true;
-    }
-  }
-  return false;
+  // Windows are appended in from_s order.
+  return !autoscale_active_ ||
+         CoveringInterval(provision_windows_[static_cast<size_t>(replica)], t,
+                          &ProvisionWindow::from_s, &ProvisionWindow::to_s) != nullptr;
 }
 
 CostCacheStats ClusterSimulator::cost_cache_stats() const {
@@ -339,10 +307,11 @@ int ClusterSimulator::Route(int64_t tokens, double now, int exclude,
   }
   // Slow-start gating (anti-metastable): a replica still ramping after a
   // rejoin only accepts outstanding work up to its current admission fraction
-  // of the queue bound. While any eligible replica is not ramp-limited,
-  // restrict the choice to those; when every choice is ramping, the
-  // least-loaded fallback still routes (the breaker, not the router, decides
-  // what to refuse outright).
+  // of the queue bound. While any replica that backpressure left eligible is
+  // not ramp-limited, restrict the choice to those; when every choice is
+  // ramping, the least-loaded fallback still routes (the breaker, not the
+  // router, decides what to refuse outright). Counting only what backpressure
+  // left keeps the two gates from excluding every live replica between them.
   bool shun_ramping = false;
   auto ramp_limited = [&](int r) {
     double fraction = SlowStartFractionAt(r, now);
@@ -363,7 +332,7 @@ int ClusterSimulator::Route(int64_t tokens, double now, int exclude,
     int num_open = 0;
     int num_allowed = 0;
     for (int r = 0; r < n; ++r) {
-      if (!eligible(r)) {
+      if (!eligible(r) || (shun_pressured && pressured(r))) {
         continue;
       }
       ++num_allowed;
@@ -587,10 +556,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   // caller's sinks at the end of Run. Router-level events (sheds, retries,
   // health transitions, failovers, hedges) are recorded directly into the
   // destination tracer as process `n`.
-  Tracer* dest_tracer =
-      options_.replica.tracer != nullptr && options_.replica.tracer->enabled()
-          ? options_.replica.tracer
-          : nullptr;
+  Tracer* dest_tracer = options_.replica.tracer;
   MetricsRegistry* dest_metrics = options_.replica.metrics;
   // The flight recorder and SLO monitor get the merged, client-visible
   // timeline replayed post-hoc (end of Run) rather than the per-round replica
@@ -1469,15 +1435,10 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   // Client-visible delivery time of an emission from `replica` at time t:
   // deferred to the end of the partition window when inside one.
   auto deliver_time = [&](int replica, double t) {
-    for (const ReplicaOutage& window : partition_windows_[static_cast<size_t>(replica)]) {
-      if (t < window.down_s) {
-        return t;
-      }
-      if (t < window.up_s) {
-        return window.up_s;
-      }
-    }
-    return t;
+    const ReplicaOutage* window =
+        CoveringInterval(partition_windows_[static_cast<size_t>(replica)], t,
+                         &ReplicaOutage::down_s, &ReplicaOutage::up_s);
+    return window != nullptr ? window->up_s : t;
   };
   // The race rule: the duplicate wins only with a strictly earlier
   // client-visible completion; t_win is the winner's (infinity when neither

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "src/common/intervals.h"
 #include "src/common/logging.h"
 
 namespace sarathi {
@@ -136,13 +137,11 @@ const std::vector<DetectedInterval>& HealthProber::DegradedIntervals(int replica
   return replicas_[static_cast<size_t>(replica)].intervals;
 }
 
+// Transition appends intervals in time order and closes each one before it
+// opens the next, so they are sorted and disjoint.
 bool HealthProber::DegradedAt(int replica, double t) const {
-  for (const DetectedInterval& interval : DegradedIntervals(replica)) {
-    if (t >= interval.begin_s && t < interval.end_s) {
-      return true;
-    }
-  }
-  return false;
+  return CoveringInterval(DegradedIntervals(replica), t, &DetectedInterval::begin_s,
+                          &DetectedInterval::end_s) != nullptr;
 }
 
 const std::vector<DetectedInterval>& HealthProber::UnreachableIntervals(int replica) const {
@@ -150,12 +149,8 @@ const std::vector<DetectedInterval>& HealthProber::UnreachableIntervals(int repl
 }
 
 bool HealthProber::UnreachableAt(int replica, double t) const {
-  for (const DetectedInterval& interval : UnreachableIntervals(replica)) {
-    if (t >= interval.begin_s && t < interval.end_s) {
-      return true;
-    }
-  }
-  return false;
+  return CoveringInterval(UnreachableIntervals(replica), t, &DetectedInterval::begin_s,
+                          &DetectedInterval::end_s) != nullptr;
 }
 
 }  // namespace sarathi

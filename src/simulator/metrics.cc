@@ -122,14 +122,6 @@ double SimResult::OutputTokenThroughput() const {
   return makespan_s > 0.0 ? static_cast<double>(total_output_tokens) / makespan_s : 0.0;
 }
 
-double SimResult::RequestThroughput() const {
-  int64_t completed = 0;
-  for (const auto& r : requests) {
-    completed += r.completed() ? 1 : 0;
-  }
-  return makespan_s > 0.0 ? static_cast<double>(completed) / makespan_s : 0.0;
-}
-
 int64_t SimResult::CountStalls(double threshold_s) const {
   int64_t stalls = 0;
   for (const auto& r : requests) {

@@ -265,8 +265,6 @@ struct SimResult {
 
   // Output tokens per second over the makespan.
   double OutputTokenThroughput() const;
-  // Completed requests per second over the makespan.
-  double RequestThroughput() const;
 
   // KV-cache high-water mark as a fraction of capacity (0 when unknown).
   double PeakKvUtilization() const;

@@ -578,7 +578,7 @@ TEST(ClusterPartitionTest, CancelPassAndMergePickTheSameWinner) {
   // the winner's completion is client-visible, so no cancel fires before a
   // heal that the delivered completion waited for.
   InvariantChecker checker;
-  Tracer tracer(true);
+  Tracer tracer;
   SchedulerConfig scheduler;
   scheduler.policy = SchedulerPolicy::kSarathi;
   scheduler.token_budget = 512;
@@ -738,6 +738,31 @@ TEST(CascadeClusterTest, SlowStartGatesRejoiningReplicas) {
   }
   EXPECT_GT(result.slow_start_admits, 0);
   EXPECT_GT(result.num_domain_faults, 0);
+}
+
+TEST(CascadeClusterTest, BackpressureAndSlowStartNeverExcludeEveryReplica) {
+  // Replica 0 stays over the backpressure bound while the autoscaler opens
+  // replica 1, whose slow-start ramp limits it once it holds a little work:
+  // each gate alone leaves one replica, and together they must not leave none.
+  ClusterOptions options = SmallCluster(2, SarathiConfig(512));
+  options.backpressure_queue_s = 0.5;
+  options.slow_start.enabled = true;
+  options.slow_start.ramp_s = 30.0;
+  options.autoscale.min_replicas = 1;
+  options.autoscale.scale_out_queue_s = 0.25;
+  options.autoscale.scale_in_queue_s = 0.05;
+  options.autoscale.provisioning_lag_s = 0.0;
+  options.autoscale.eval_interval_s = 0.5;
+  options.autoscale.cooldown_s = 0.0;
+  Trace trace = UniformTrace(120, 1024, 64, 0.05);
+  SimResult result = ClusterSimulator(options).Run(trace);
+
+  EXPECT_GT(result.autoscale_out, 0);
+  EXPECT_GT(result.slow_start_admits, 0);
+  ASSERT_EQ(result.requests.size(), trace.size());
+  for (const RequestMetrics& r : result.requests) {
+    EXPECT_TRUE(r.completed());
+  }
 }
 
 TEST(CascadeClusterTest, AllKnobsOnIsDeterministic) {

@@ -405,6 +405,76 @@ TEST(ReplicaFaultTest, DeadlineExpiryAbortsAtTheDeadline) {
   EXPECT_EQ(TotalEmittedTokens(result), result.total_output_tokens);
 }
 
+// ---------- Order within one replica step ----------
+//
+// A step delivers batch exits, then arrivals, then the timeout pass, then the
+// extraction pass; an outage first runs that same sequence at its down_s.
+
+TEST(ReplicaStepOrderTest, TimeoutBeatsAnExtractionDueInTheSameStep) {
+  for (PlannedAbort plan :
+       {PlannedAbort::kMigrateOut, PlannedAbort::kDrain, PlannedAbort::kHedgeCancel}) {
+    SimulatorOptions options = BaseOptions(SarathiConfig(512));
+    // Short prompt, long generation: decoding well before t = 0.3, so every
+    // kind of extraction is eligible when it comes due.
+    Trace trace = UniformTrace(1, 64, 400, 0.0);
+    trace.requests[0].deadline_s = 0.3;
+    trace.requests[0].planned_abort = plan;
+    trace.requests[0].planned_abort_s = 0.3;
+    SimResult result = ReplicaSimulator(options).Run(trace);
+
+    const RequestMetrics& r = result.requests[0];
+    ASSERT_TRUE(r.failed());
+    EXPECT_EQ(r.failure, FailureKind::kTimeout) << static_cast<int>(plan);
+    EXPECT_DOUBLE_EQ(r.failed_s, 0.3);
+    EXPECT_EQ(result.CountFailed(), 1);
+  }
+}
+
+TEST(ReplicaStepOrderTest, OnlyAHedgeCancelExtractsAQueuedRequest) {
+  for (PlannedAbort plan :
+       {PlannedAbort::kMigrateOut, PlannedAbort::kDrain, PlannedAbort::kHedgeCancel}) {
+    // One sequence at a time: request 1 waits in the queue behind request 0's
+    // long generation when its extraction comes due.
+    SimulatorOptions options = BaseOptions(SarathiConfig(512, /*max_batch_size=*/1));
+    Trace trace = UniformTrace(2, 64, 200, 0.001);
+    trace.requests[1].planned_abort = plan;
+    trace.requests[1].planned_abort_s = 0.05;
+    SimResult result = ReplicaSimulator(options).Run(trace);
+
+    ASSERT_TRUE(result.requests[0].completed());
+    const RequestMetrics& queued = result.requests[1];
+    if (plan == PlannedAbort::kHedgeCancel) {
+      ASSERT_TRUE(queued.failed());
+      EXPECT_EQ(queued.failure, FailureKind::kHedgeCancelled);
+      EXPECT_DOUBLE_EQ(queued.failed_s, 0.05);
+      EXPECT_TRUE(queued.token_times_s.empty());
+    } else {
+      EXPECT_TRUE(queued.completed()) << static_cast<int>(plan);
+      EXPECT_GT(queued.first_scheduled_s, 0.05);  // Still queued at the plan.
+      EXPECT_EQ(queued.token_times_s.size(), 200u);
+    }
+  }
+}
+
+TEST(ReplicaStepOrderTest, OutageLandsAfterArrivalsAtItsDownTime) {
+  SimulatorOptions options = BaseOptions(SarathiConfig(512));
+  options.outages = {{1.0, 2.0}};
+  options.fail_interrupted_on_crash = true;
+  Trace trace = UniformTrace(3, 64, 8, 0.0);
+  trace.requests[1].arrival_time_s = 1.0;    // Exactly at down_s.
+  trace.requests[2].arrival_time_s = 1.001;  // Just after it.
+  SimResult result = ReplicaSimulator(options).Run(trace);
+
+  // Offered before the crash, so the crash drains and fails it.
+  EXPECT_TRUE(result.requests[0].completed());
+  ASSERT_TRUE(result.requests[1].failed());
+  EXPECT_EQ(result.requests[1].failure, FailureKind::kReplicaCrash);
+  EXPECT_DOUBLE_EQ(result.requests[1].failed_s, 1.0);
+  // Arrives into the outage and is served after recovery.
+  ASSERT_TRUE(result.requests[2].completed());
+  EXPECT_GE(result.requests[2].first_scheduled_s, 2.0);
+}
+
 // ---------- Cluster fault tolerance (acceptance a, b) ----------
 
 ClusterOptions FaultyCluster() {

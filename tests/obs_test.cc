@@ -277,26 +277,6 @@ std::string TestDir(const std::string& leaf) {
 
 // ---- Tracer ----
 
-TEST(TracerTest, DisabledTracerNeverAllocates) {
-  Tracer enabled;
-  enabled.Instant("x", "donor", 1.0);
-
-  Tracer tracer(/*enabled=*/false);
-  tracer.SetProcessName(0, "replica 0");
-  tracer.SetThreadName(1, "stage 1");
-  tracer.Complete("iteration", "batch", 0.0, 1.0, 0);
-  tracer.Instant("scheduler", "admit", 0.5, {Arg("request", int64_t{7})});
-  tracer.set_now(2.0);
-  tracer.InstantNow("scheduler", "preempt");
-  tracer.Counter("kv", "blocks", 0.1, 32.0);
-  tracer.AsyncBegin("request", "request", 7, 0.0);
-  tracer.AsyncEnd("request", "request", 7, 1.0);
-  tracer.Append(std::move(enabled));
-
-  EXPECT_TRUE(tracer.empty());
-  EXPECT_EQ(tracer.events().capacity(), 0u);  // Never touched the buffer.
-}
-
 TEST(TracerTest, RecordsInOrderAndStampsFields) {
   Tracer tracer;
   tracer.set_default_pid(3);
@@ -1108,13 +1088,6 @@ TEST(SimulatorObsTest, ObservedRunMatchesUninstrumentedRun) {
   EXPECT_EQ(plain.total_output_tokens, observed.total_output_tokens);
   EXPECT_DOUBLE_EQ(plain.P99Tbt(), observed.P99Tbt());
   EXPECT_EQ(plain.num_iterations, observed.num_iterations);
-}
-
-TEST(SimulatorObsTest, DisabledTracerInSimulatorNeverAllocates) {
-  Tracer tracer(/*enabled=*/false);
-  SimResult result = SmallRun(&tracer, nullptr);
-  EXPECT_GT(result.total_output_tokens, 0);
-  EXPECT_EQ(tracer.events().capacity(), 0u);
 }
 
 TEST(SimulatorObsTest, DynamicBudgetEmitsTokenBudgetSeries) {

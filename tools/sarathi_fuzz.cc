@@ -7,7 +7,7 @@
 // budget controller), and a fault schedule (replica crashes, client timeouts,
 // gray-failure slowdown episodes with jitter, hedged dispatch, drain or live
 // KV-migration failover, correlated domain crashes and network partitions
-// with the cascade-mitigation knobs), then runs every scheduling policy on both KV
+// with the cascade-mitigation knobs, autoscaling), then runs every scheduling policy on both KV
 // allocators with an InvariantChecker attached. Any violation of the paper's guarantees (token
 // budget, stall-free batching, token/KV conservation, clock monotonicity) is
 // reported with the seed, run label, iteration, and request id needed to
@@ -37,6 +37,9 @@
 //                    failure domains with seed-rotated partition fractions
 //                    and mitigation knobs (timeout re-offers, cascade
 //                    breaker, slow-start re-admission)
+//   --force-autoscale  force the autoscaling dimension on every seed: a
+//                    provisioned floor below the replica count, with
+//                    seed-rotated thresholds, lag and TBT signal
 //   --jobs=N         fan seeds across N worker threads (0 = hardware
 //                    concurrency). Seeds are independent; outcomes are
 //                    replayed in seed order, so stdout/stderr and the exit
@@ -79,6 +82,7 @@ constexpr char kUsage[] = R"(sarathi_fuzz: randomized invariant fuzzer (see docs
   --force-gray     force every seed into a gray-failure cluster case
   --force-prefix   force the prefix-cache dimension on every seed
   --force-cascade  force the correlated-fault/cascade dimension on every seed
+  --force-autoscale  force the autoscaling dimension on every seed
   --jobs=N         run seeds on N threads (0 = hardware concurrency);
                    output stays byte-identical to --jobs=1
   --fingerprint-out=FILE  one "seed,bytes,fnv1a" telemetry line per seed
@@ -143,6 +147,11 @@ struct FuzzCase {
   // at any value, so the draw only puts the sharded path under test.
   int jobs = 1;
 
+  // Autoscaling dimension (drawn after the shard count so pre-existing seeds
+  // keep their cases byte-identical): min_replicas > 0 runs the cluster
+  // with a provisioned floor below its replica count.
+  AutoscaleOptions autoscale;
+
   std::string Summary() const;
 };
 
@@ -187,6 +196,12 @@ std::string FuzzCase::Summary() const {
     if (timeout_retry_max > 0) out << ", timeout-retries=" << timeout_retry_max;
     if (cascade_breaker.enabled) out << ", breaker";
     if (slow_start.enabled) out << ", slow-start";
+    out << ")";
+  }
+  if (autoscale.min_replicas > 0) {
+    out << ", autoscale (min=" << autoscale.min_replicas << ", out=" << autoscale.scale_out_queue_s
+        << ", lag=" << autoscale.provisioning_lag_s;
+    if (autoscale.tbt_slo_s > 0.0) out << ", tbt-slo=" << autoscale.tbt_slo_s;
     out << ")";
   }
   return out.str();
@@ -445,6 +460,31 @@ FuzzCase MakeCase(uint64_t seed) {
   // cases, which --force-gray/--force-cascade may promote to clusters) so
   // pre-existing seeds keep their cases byte-identical.
   fuzz_case.jobs = static_cast<int>(rng.UniformInt(1, 4));
+
+  // Autoscaling. Drawn after the shard count so seeds that predate this
+  // dimension keep their cases byte-identical. Standalone cases are promoted
+  // to clusters; the floor stays below the replica count so the autoscaler
+  // opens and closes replicas around whatever faults and overload the seed
+  // already drew.
+  if (rng.Uniform(0.0, 1.0) < 0.3) {
+    if (!fuzz_case.cluster_mode) {
+      fuzz_case.cluster_mode = true;
+      fuzz_case.standalone_outages = false;
+      fuzz_case.num_replicas = static_cast<int>(rng.UniformInt(3, 4));
+      fuzz_case.faults.seed = seed + 17;
+    }
+    AutoscaleOptions& autoscale = fuzz_case.autoscale;
+    autoscale.min_replicas = static_cast<int>(rng.UniformInt(1, fuzz_case.num_replicas - 1));
+    autoscale.scale_out_queue_s = rng.Uniform(0.1, 1.0);
+    autoscale.scale_in_queue_s = autoscale.scale_out_queue_s * rng.Uniform(0.05, 0.5);
+    autoscale.provisioning_lag_s = rng.Uniform(0.0, 3.0);
+    if (rng.Uniform(0.0, 1.0) < 0.5) {
+      autoscale.tbt_slo_s = rng.Uniform(0.02, 0.2);
+      autoscale.tbt_window_s = rng.Uniform(1.0, 10.0);
+    }
+    autoscale.eval_interval_s = rng.Uniform(0.25, 2.0);
+    autoscale.cooldown_s = rng.Uniform(0.0, 3.0);
+  }
   return fuzz_case;
 }
 
@@ -530,6 +570,7 @@ std::string RunCell(const FuzzCase& fuzz_case, SchedulerPolicy policy, Allocator
     cluster.cascade = fuzz_case.cascade_breaker;
     cluster.slow_start = fuzz_case.slow_start;
     cluster.jobs = fuzz_case.jobs;
+    cluster.autoscale = fuzz_case.autoscale;
     ClusterSimulator simulator(cluster);
     oracle = CheckClusterResult(simulator.Run(trace));
   } else {
@@ -602,6 +643,9 @@ DeterminismOutcome RunDeterminismCheck(const FuzzCase& fuzz_case, uint64_t seed)
   cluster.degraded_failover = fuzz_case.degraded_failover;
   cluster.hedge_after_s = fuzz_case.hedge_after_s;
   cluster.jobs = fuzz_case.jobs;
+  // Autoscaling joins the byte-compare only where the seed drew (or was
+  // forced into) it, so every other seed keeps its fingerprint.
+  cluster.autoscale = fuzz_case.autoscale;
   if (cluster.faults.mtbf_s <= 0.0) {
     cluster.faults.seed = seed + 17;
     cluster.faults.mtbf_s = 8.0;
@@ -693,12 +737,18 @@ struct SeedOutcome {
   uint64_t fingerprint_hash = 0;
 };
 
-SeedOutcome RunSeed(uint64_t seed, bool fatal, bool force_gray, bool force_prefix,
-                    bool force_cascade) {
+struct ForceFlags {
+  bool gray = false;
+  bool prefix = false;
+  bool cascade = false;
+  bool autoscale = false;
+};
+
+SeedOutcome RunSeed(uint64_t seed, bool fatal, const ForceFlags& force) {
   SeedOutcome outcome;
   outcome.seed = seed;
   FuzzCase fuzz_case = MakeCase(seed);
-  if (force_prefix && !fuzz_case.prefix_cache) {
+  if (force.prefix && !fuzz_case.prefix_cache) {
     // CI smoke mode: every seed exercises the cached allocator. Token
     // identity comes from a side Rng stream so the seed's own case draws
     // stay byte-identical to an unforced run.
@@ -709,7 +759,7 @@ SeedOutcome RunSeed(uint64_t seed, bool fatal, bool force_gray, bool force_prefi
       fuzz_case.deployment = YiOnA100Tp2();
     }
   }
-  if (force_gray) {
+  if (force.gray) {
     // CI smoke mode: every seed becomes a gray-failure cluster case, with
     // the failover mode and hedging rotating deterministically by seed.
     if (!fuzz_case.cluster_mode) {
@@ -728,7 +778,7 @@ SeedOutcome RunSeed(uint64_t seed, bool fatal, bool force_gray, bool force_prefi
                                                   : FailoverMode::kLiveMigrate;
     fuzz_case.hedge_after_s = seed % 2 == 0 ? 0.5 : 0.0;
   }
-  if (force_cascade && !fuzz_case.cascade) {
+  if (force.cascade && !fuzz_case.cascade) {
     // CI smoke mode: every seed exercises the correlated-fault dimension,
     // with the partition fraction and mitigation knobs rotating
     // deterministically by seed so crash-domains, partition-domains, and
@@ -753,6 +803,26 @@ SeedOutcome RunSeed(uint64_t seed, bool fatal, bool force_gray, bool force_prefi
       fuzz_case.slow_start.ramp_s = 2.0 + static_cast<double>(seed % 3);
       fuzz_case.slow_start.stagger_s = 0.5;
     }
+  }
+  if (force.autoscale && fuzz_case.autoscale.min_replicas <= 0) {
+    // CI smoke mode: every seed runs autoscaled, with the floor, thresholds,
+    // provisioning lag and the TBT signal rotating deterministically by seed.
+    if (!fuzz_case.cluster_mode) {
+      fuzz_case.cluster_mode = true;
+      fuzz_case.standalone_outages = false;
+      fuzz_case.num_replicas = 3 + static_cast<int>(seed % 2);
+      fuzz_case.faults.seed = seed + 17;
+    }
+    AutoscaleOptions& autoscale = fuzz_case.autoscale;
+    autoscale.min_replicas = 1 + static_cast<int>(seed % static_cast<uint64_t>(
+                                                           fuzz_case.num_replicas - 1));
+    autoscale.scale_out_queue_s = 0.25 + 0.25 * static_cast<double>(seed % 3);
+    autoscale.scale_in_queue_s = 0.05;
+    autoscale.provisioning_lag_s = seed % 2 == 0 ? 0.0 : 1.5;
+    autoscale.tbt_slo_s = seed % 3 == 1 ? 0.05 : 0.0;
+    autoscale.tbt_window_s = 5.0;
+    autoscale.eval_interval_s = 0.5;
+    autoscale.cooldown_s = seed % 2 == 0 ? 0.0 : 2.0;
   }
   // --fatal wants the failing run alone on the process; sharding never
   // changes results, so serial replicas lose no coverage.
@@ -811,9 +881,11 @@ int RunMain(int argc, char** argv) {
   int64_t start = start_arg.value();
   bool fatal = args.GetBool("fatal", false);
   bool verbose = args.GetBool("verbose", false);
-  bool force_gray = args.GetBool("force-gray", false);
-  bool force_prefix = args.GetBool("force-prefix", false);
-  bool force_cascade = args.GetBool("force-cascade", false);
+  ForceFlags force;
+  force.gray = args.GetBool("force-gray", false);
+  force.prefix = args.GetBool("force-prefix", false);
+  force.cascade = args.GetBool("force-cascade", false);
+  force.autoscale = args.GetBool("force-autoscale", false);
   std::string repro_dir = args.GetString("repro-out", "");
   std::string fingerprint_path = args.GetString("fingerprint-out", "");
   int jobs = ResolveJobs(static_cast<int>(jobs_arg.value()));
@@ -843,8 +915,7 @@ int RunMain(int argc, char** argv) {
   for (int64_t chunk_start = 0; chunk_start < num_seeds && !stopped; chunk_start += jobs) {
     int64_t chunk = std::min<int64_t>(jobs, num_seeds - chunk_start);
     std::vector<SeedOutcome> outcomes = RunMany(jobs, chunk, [&](int64_t k) {
-      return RunSeed(static_cast<uint64_t>(start + chunk_start + k), fatal, force_gray,
-                     force_prefix, force_cascade);
+      return RunSeed(static_cast<uint64_t>(start + chunk_start + k), fatal, force);
     });
     for (int64_t k = 0; k < chunk && !stopped; ++k) {
       const SeedOutcome& outcome = outcomes[static_cast<size_t>(k)];
